@@ -11,11 +11,10 @@
 # smoke emitting a quick-grid BENCH_PR5.json, a bench-trajectory gate
 # comparing the committed BENCH_PR5.json against BENCH_PR3.json (fails on
 # a >20% regression in kernel pairs/s or end-to-end wall time, and
-# requires the PR 5 record's >=1.3x end-to-end gain), and a
-# kernel-vs-pre-kernel campaign A/B asserting the two-phase sweep plus
-# the span-based traffic replay are byte-identical to the scalar golden
-# path (LOAS_SWEEP=scalar drives every model's Reference oracle,
-# including Gamma's and GoSPA's pre-span walks).
+# requires BENCH_PR5.json's >=1.3x end-to-end gain). Every model's fast
+# walk is A/B'd against its oracle walk (`run_layer_reference`) by the
+# test suite, including a golden test that runs the committed headline
+# campaign on the oracle walks against the committed report.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -117,19 +116,6 @@ for model in loas sparten gospa gamma ptb stellar; do
 done
 grep -q "cache_ways" "$SMOKE/models.out"
 grep -q "default 262144" "$SMOKE/models.out"
-
-echo "== two-phase kernel vs pre-kernel golden (LOAS_SWEEP=scalar A/B)"
-# A fresh queue simulated entirely on the pre-kernel scalar path (its own
-# memo store, so nothing replays) must reproduce the kernel-path report —
-# including the warm-memo replay above — byte for byte. Since PR 5 the
-# default path also routes all cache traffic through the precomputed
-# spans + residency fast paths, so this A/B covers the span-based traffic
-# replay of every model (LoAS, SparTen, Gamma, GoSPA) against its
-# address-arithmetic oracle.
-"$SERVE" init "$SMOKE/scalar"
-"$SERVE" enqueue "$SMOKE/scalar" "$SMOKE/headline.json"
-LOAS_SWEEP=scalar "$SERVE" run "$SMOKE/scalar"
-cmp "$SMOKE/scalar/reports/00001/report.jsonl" "$SMOKE/single/reports/00001/report.jsonl"
 
 echo "== perf smoke: bench experiment on the quick fig13 grid"
 LOAS_BENCH_OUT="$SMOKE/BENCH_PR5.json" target/release/repro --quick --workers 1 bench

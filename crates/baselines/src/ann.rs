@@ -5,7 +5,7 @@
 
 use crate::common::Machine;
 use loas_core::kernel::{PairSweepKernel, RowBlocks, SweepMode};
-use loas_core::{LayerReport, SweepStrategy};
+use loas_core::LayerReport;
 use loas_sim::TrafficClass;
 use loas_sparse::{Bitmask, WeightFiber, POINTER_BITS};
 use loas_workloads::AnnWorkload;
@@ -58,17 +58,20 @@ impl AnnPrepared {
 }
 
 /// SparTen running the dual-sparse ANN (two fast prefix-sum circuits; 8-bit
-/// activations need explicit value fetches, unlike spike trains). Sweep
-/// strategy from the `LOAS_SWEEP` environment.
+/// activations need explicit value fetches, unlike spike trains). The pair
+/// intersections run as one pure [`PairSweepKernel`] pass per tile and the
+/// per-pair sums are folded per tile.
 pub fn run_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
-    run_sparten_ann_with(prepared, SweepStrategy::from_env())
+    sparten_ann(prepared, false)
 }
 
-/// [`run_sparten_ann`] with an explicit sweep strategy: the kernel path
-/// runs the pair intersections as one pure [`PairSweepKernel`] pass per
-/// tile and folds the per-pair sums; the reference path is the pre-kernel
-/// scalar loop. Reports are byte-identical (asserted in tests).
-pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> LayerReport {
+/// The oracle of [`run_sparten_ann`]: the pre-kernel scalar loop. Reports
+/// are byte-identical (asserted in tests).
+pub fn run_sparten_ann_reference(prepared: &AnnPrepared) -> LayerReport {
+    sparten_ann(prepared, true)
+}
+
+fn sparten_ann(prepared: &AnnPrepared, oracle: bool) -> LayerReport {
     let shape = prepared.shape;
     let pes = crate::common::BASELINE_PES;
     let chunks = (shape.k.div_ceil(128)).max(1) as u64;
@@ -111,60 +114,57 @@ pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> Lay
                 .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
             let _ = m;
         }
-        match sweep {
-            SweepStrategy::Kernel => {
-                // Pure phase: one kernel pass over the tile; the per-pair
-                // sums (MACs, prefix-sum activity, matched value fetches)
-                // are linear, so the tile aggregates fold exactly.
-                let tile = kernel.sweep_tile(
-                    &prepared.row_blocks,
-                    rows.clone(),
-                    &b_words,
-                    SweepMode::TemporalParallel,
-                );
-                let row_count = rows.len();
-                for n in 0..shape.n {
-                    machine
-                        .cache
-                        .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-                    let column = &tile.matches[n * row_count..(n + 1) * row_count];
-                    let peak = column.iter().copied().max().unwrap_or(0) as u64;
-                    compute += chunks + peak + 1;
-                }
-                machine.stats.ops.macs += tile.matches_total;
-                machine.stats.ops.fast_prefix_cycles +=
-                    2 * ((shape.n * row_count) as u64 * chunks + tile.matches_total);
+        if oracle {
+            for n in 0..shape.n {
+                let fiber_b = &prepared.b_fibers[n];
                 machine
                     .cache
-                    .read_untagged(TrafficClass::Input, tile.matches_total);
+                    .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
+                let mut worst = 0u64;
+                for m in rows.clone() {
+                    let matches = prepared.a_row_masks[m]
+                        .and_count(fiber_b.bitmask())
+                        .expect("equal K") as u64;
+                    worst = worst.max(chunks + matches + 1);
+                    machine.stats.ops.macs += matches;
+                    // Both offsets come from fast prefix-sums (two
+                    // circuits).
+                    machine.stats.ops.fast_prefix_cycles += 2 * (chunks + matches);
+                    // Matched activations *and* weights are fetched by
+                    // value.
+                    machine.cache.read_untagged(TrafficClass::Input, matches);
+                    machine.cache.read_untagged(TrafficClass::Weight, matches);
+                }
+                compute += worst;
+            }
+        } else {
+            // Pure phase: one kernel pass over the tile; the per-pair
+            // sums (MACs, prefix-sum activity, matched value fetches)
+            // are linear, so the tile aggregates fold exactly.
+            let tile = kernel.sweep_tile(
+                &prepared.row_blocks,
+                rows.clone(),
+                &b_words,
+                SweepMode::TemporalParallel,
+            );
+            let row_count = rows.len();
+            for n in 0..shape.n {
                 machine
                     .cache
-                    .read_untagged(TrafficClass::Weight, tile.matches_total);
+                    .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
+                let column = &tile.matches[n * row_count..(n + 1) * row_count];
+                let peak = column.iter().copied().max().unwrap_or(0) as u64;
+                compute += chunks + peak + 1;
             }
-            SweepStrategy::Reference => {
-                for n in 0..shape.n {
-                    let fiber_b = &prepared.b_fibers[n];
-                    machine
-                        .cache
-                        .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-                    let mut worst = 0u64;
-                    for m in rows.clone() {
-                        let matches = prepared.a_row_masks[m]
-                            .and_count(fiber_b.bitmask())
-                            .expect("equal K") as u64;
-                        worst = worst.max(chunks + matches + 1);
-                        machine.stats.ops.macs += matches;
-                        // Both offsets come from fast prefix-sums (two
-                        // circuits).
-                        machine.stats.ops.fast_prefix_cycles += 2 * (chunks + matches);
-                        // Matched activations *and* weights are fetched by
-                        // value.
-                        machine.cache.read_untagged(TrafficClass::Input, matches);
-                        machine.cache.read_untagged(TrafficClass::Weight, matches);
-                    }
-                    compute += worst;
-                }
-            }
+            machine.stats.ops.macs += tile.matches_total;
+            machine.stats.ops.fast_prefix_cycles +=
+                2 * ((shape.n * row_count) as u64 * chunks + tile.matches_total);
+            machine
+                .cache
+                .read_untagged(TrafficClass::Input, tile.matches_total);
+            machine
+                .cache
+                .read_untagged(TrafficClass::Weight, tile.matches_total);
         }
         machine
             .cache
@@ -284,8 +284,8 @@ mod tests {
     fn ann_kernel_and_reference_sweeps_are_byte_identical() {
         let p = prepared();
         assert_eq!(
-            run_sparten_ann_with(&p, SweepStrategy::Kernel).to_portable(),
-            run_sparten_ann_with(&p, SweepStrategy::Reference).to_portable()
+            run_sparten_ann(&p).to_portable(),
+            run_sparten_ann_reference(&p).to_portable()
         );
     }
 

@@ -15,19 +15,18 @@
 //!
 //! The per-`(m, t, k)` FiberCache walk was the slowest model in the
 //! workspace: every fired bit re-probed its `B` row line by line through
-//! the tag model. The [`loas_core::SweepStrategy::Kernel`] path
-//! (default) is cache-model-aware instead: per-`B`-row [`LineSpan`]s are
-//! precomputed once per layer, the repeated same-row fetches go through
-//! the batched span API, and every row carries a
+//! the tag model. `run_layer` is cache-model-aware instead: per-`B`-row
+//! [`LineSpan`]s are precomputed once per layer, the repeated same-row
+//! fetches go through the batched span API, and every row carries a
 //! [`SpanResidency`] token so a row that provably stayed resident since
 //! its last fetch (no evictions in its sets — the common case, since the
 //! paper sizes the FiberCache to keep `B` hot) takes the all-hits fast
 //! path with no tag compares at all. The pre-span per-line walk survives
-//! as [`loas_core::SweepStrategy::Reference`]; both produce
-//! byte-identical reports (asserted in tests and ci.sh).
+//! as [`Accelerator::run_layer_reference`]; both produce byte-identical
+//! reports (asserted in tests).
 
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
 use loas_sim::{LineSpan, SpanResidency, TrafficClass};
 
 /// Typed configuration of the Gamma-SNN model. Registered in the
@@ -156,11 +155,10 @@ impl GammaConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaSnn {
     params: GammaConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for GammaSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         GammaSnn::new(GammaConfig::default())
     }
@@ -169,26 +167,12 @@ impl Default for GammaSnn {
 impl GammaSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: GammaConfig) -> Self {
-        GammaSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
+        GammaSnn { params }
     }
 
-    /// Selects the traffic-path strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
-    }
-}
-
-impl Accelerator for GammaSnn {
-    fn name(&self) -> String {
-        "Gamma-SNN".to_owned()
-    }
-
-    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+    /// Simulates one layer with the span walk, or with `oracle` the
+    /// pre-span per-line walk.
+    fn simulate(&self, layer: &PreparedLayer, oracle: bool) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
         let mut machine = Machine::with_cache(
@@ -237,116 +221,112 @@ impl Accelerator for GammaSnn {
         let mut compute = 0u64;
         let mut products = 0u64;
         let tiles = shape.m.div_ceil(p.pes);
-        match self.sweep {
+        if oracle {
             // The pre-span oracle: per-access address arithmetic, per-line
             // tag walks.
-            SweepStrategy::Reference => {
-                for tile in 0..tiles {
-                    let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
-                    let mut worst = 0u64;
-                    for m in rows {
-                        let mut row_cycles = 0u64;
-                        for (t, plane) in layer.workload.spikes.planes().iter().enumerate() {
-                            let mut fibers = 0usize;
-                            let mut row_products = 0u64;
-                            for k in plane.row(m).iter_ones() {
-                                let nnz_b = layer.b_row_nnz[k] as u64;
-                                // Fetch B row k from the FiberCache (repeated every
-                                // timestep and every row of A that needs it).
-                                let bytes = ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits))
-                                    .div_ceil(8))
-                                    as u64;
-                                let missed = machine.cache.access_range(
-                                    b_row_addr[k],
-                                    bytes.max(1),
-                                    TrafficClass::Weight,
-                                );
-                                machine.hbm.read(TrafficClass::Weight, missed * line);
-                                row_products += nnz_b.max(1);
-                                fibers += 1;
-                            }
-                            // Merge: one element per cycle through the radix-64
-                            // merger; more fibers than the radix force extra rounds
-                            // through partial rows (re-read + re-write).
-                            let rounds = p.merge_rounds(fibers);
-                            row_cycles += (row_products / p.merge_rate) * rounds;
-                            products += row_products;
-                            // The partial output row streams through the cache once
-                            // per timestep (write + readback by the merger).
-                            machine.cache.access_range(
-                                psum_row_base + (m % p.pes) as u64 * psum_row_bytes,
-                                psum_row_bytes,
-                                TrafficClass::Psum,
+            for tile in 0..tiles {
+                let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
+                let mut worst = 0u64;
+                for m in rows {
+                    let mut row_cycles = 0u64;
+                    for (t, plane) in layer.workload.spikes.planes().iter().enumerate() {
+                        let mut fibers = 0usize;
+                        let mut row_products = 0u64;
+                        for k in plane.row(m).iter_ones() {
+                            let nnz_b = layer.b_row_nnz[k] as u64;
+                            // Fetch B row k from the FiberCache (repeated every
+                            // timestep and every row of A that needs it).
+                            let bytes = ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits))
+                                .div_ceil(8)) as u64;
+                            let missed = machine.cache.access_range(
+                                b_row_addr[k],
+                                bytes.max(1),
+                                TrafficClass::Weight,
                             );
-                            machine.cache.write(TrafficClass::Psum, psum_row_bytes);
-                            let _ = t;
+                            machine.hbm.read(TrafficClass::Weight, missed * line);
+                            row_products += nnz_b.max(1);
+                            fibers += 1;
                         }
-                        worst = worst.max(row_cycles);
+                        // Merge: one element per cycle through the radix-64
+                        // merger; more fibers than the radix force extra rounds
+                        // through partial rows (re-read + re-write).
+                        let rounds = p.merge_rounds(fibers);
+                        row_cycles += (row_products / p.merge_rate) * rounds;
+                        products += row_products;
+                        // The partial output row streams through the cache once
+                        // per timestep (write + readback by the merger).
+                        machine.cache.access_range(
+                            psum_row_base + (m % p.pes) as u64 * psum_row_bytes,
+                            psum_row_bytes,
+                            TrafficClass::Psum,
+                        );
+                        machine.cache.write(TrafficClass::Psum, psum_row_bytes);
+                        let _ = t;
                     }
-                    compute += worst;
+                    worst = worst.max(row_cycles);
                 }
+                compute += worst;
             }
+        } else {
             // The cache-model-aware walk: per-B-row spans precomputed once,
             // residency tokens so an unevicted row's refetch is all-hits
             // with no tag compares. Access order is identical to the
             // oracle, so reports are byte-identical.
-            SweepStrategy::Kernel => {
-                let line_bytes = machine.cache.line_bytes();
-                let b_row_span: Vec<LineSpan> = b_row_addr
-                    .iter()
-                    .zip(&layer.b_row_nnz)
-                    .map(|(&addr, &nnz)| {
-                        let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
-                        LineSpan::of_range(addr, bytes.max(1), line_bytes)
-                    })
-                    .collect();
-                let mut b_row_residency = vec![SpanResidency::default(); shape.k];
-                let psum_span: Vec<LineSpan> = (0..p.pes)
-                    .map(|pe| {
-                        LineSpan::of_range(
-                            psum_row_base + pe as u64 * psum_row_bytes,
-                            psum_row_bytes,
-                            line_bytes,
-                        )
-                    })
-                    .collect();
-                let mut psum_residency = vec![SpanResidency::default(); p.pes];
-                let planes = layer.workload.spikes.planes();
-                for tile in 0..tiles {
-                    let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
-                    let mut worst = 0u64;
-                    for m in rows {
-                        let mut row_cycles = 0u64;
-                        let pe = m % p.pes;
-                        for plane in planes {
-                            let mut fibers = 0usize;
-                            let mut row_products = 0u64;
-                            for k in plane.row(m).iter_ones() {
-                                let missed = machine.cache.access_span_resident(
-                                    b_row_span[k],
-                                    &mut b_row_residency[k],
-                                    TrafficClass::Weight,
-                                );
-                                if missed > 0 {
-                                    machine.hbm.read(TrafficClass::Weight, missed * line);
-                                }
-                                row_products += (layer.b_row_nnz[k] as u64).max(1);
-                                fibers += 1;
-                            }
-                            let rounds = p.merge_rounds(fibers);
-                            row_cycles += (row_products / p.merge_rate) * rounds;
-                            products += row_products;
-                            machine.cache.access_span_resident(
-                                psum_span[pe],
-                                &mut psum_residency[pe],
-                                TrafficClass::Psum,
+            let line_bytes = machine.cache.line_bytes();
+            let b_row_span: Vec<LineSpan> = b_row_addr
+                .iter()
+                .zip(&layer.b_row_nnz)
+                .map(|(&addr, &nnz)| {
+                    let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+                    LineSpan::of_range(addr, bytes.max(1), line_bytes)
+                })
+                .collect();
+            let mut b_row_residency = vec![SpanResidency::default(); shape.k];
+            let psum_span: Vec<LineSpan> = (0..p.pes)
+                .map(|pe| {
+                    LineSpan::of_range(
+                        psum_row_base + pe as u64 * psum_row_bytes,
+                        psum_row_bytes,
+                        line_bytes,
+                    )
+                })
+                .collect();
+            let mut psum_residency = vec![SpanResidency::default(); p.pes];
+            let planes = layer.workload.spikes.planes();
+            for tile in 0..tiles {
+                let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
+                let mut worst = 0u64;
+                for m in rows {
+                    let mut row_cycles = 0u64;
+                    let pe = m % p.pes;
+                    for plane in planes {
+                        let mut fibers = 0usize;
+                        let mut row_products = 0u64;
+                        for k in plane.row(m).iter_ones() {
+                            let missed = machine.cache.access_span_resident(
+                                b_row_span[k],
+                                &mut b_row_residency[k],
+                                TrafficClass::Weight,
                             );
-                            machine.cache.write(TrafficClass::Psum, psum_row_bytes);
+                            if missed > 0 {
+                                machine.hbm.read(TrafficClass::Weight, missed * line);
+                            }
+                            row_products += (layer.b_row_nnz[k] as u64).max(1);
+                            fibers += 1;
                         }
-                        worst = worst.max(row_cycles);
+                        let rounds = p.merge_rounds(fibers);
+                        row_cycles += (row_products / p.merge_rate) * rounds;
+                        products += row_products;
+                        machine.cache.access_span_resident(
+                            psum_span[pe],
+                            &mut psum_residency[pe],
+                            TrafficClass::Psum,
+                        );
+                        machine.cache.write(TrafficClass::Psum, psum_row_bytes);
                     }
-                    compute += worst;
+                    worst = worst.max(row_cycles);
                 }
+                compute += worst;
             }
         }
 
@@ -354,6 +334,21 @@ impl Accelerator for GammaSnn {
         machine.stats.ops.merges = products;
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
         machine.finish(&layer.name, &self.name(), compute)
+    }
+}
+
+impl Accelerator for GammaSnn {
+    fn name(&self) -> String {
+        "Gamma-SNN".to_owned()
+    }
+
+    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, false)
+    }
+
+    /// The pre-span per-line FiberCache walk.
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, true)
     }
 }
 
@@ -431,14 +426,8 @@ mod tests {
         let l = layer();
         for cache_bytes in [16 * 1024usize, BASELINE_CACHE_BYTES] {
             let config = GammaConfig::builder().cache_bytes(cache_bytes).build();
-            let golden = GammaSnn::new(config)
-                .with_sweep(SweepStrategy::Reference)
-                .run_layer(&l)
-                .to_portable();
-            let span = GammaSnn::new(config)
-                .with_sweep(SweepStrategy::Kernel)
-                .run_layer(&l)
-                .to_portable();
+            let golden = GammaSnn::new(config).run_layer_reference(&l).to_portable();
+            let span = GammaSnn::new(config).run_layer(&l).to_portable();
             assert_eq!(span, golden, "divergence at {cache_bytes} B");
         }
     }

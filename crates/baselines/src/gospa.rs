@@ -12,9 +12,14 @@
 //! * **Per-spike coordinates**: each spike is stored as a CSR coordinate
 //!   (`log2(M)` bits per spike per timestep), the largest compressed-format
 //!   footprint of all designs (Fig. 14).
+//!
+//! `run_layer` walks the `B` rows through precomputed [`LineSpan`]s with
+//! [`SpanResidency`] tokens; [`Accelerator::run_layer_reference`] keeps the
+//! pre-span per-access walk as the oracle. Both produce byte-identical
+//! reports (asserted in tests).
 
 use crate::common::{config_builder, Machine};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
 use loas_sim::{LineSpan, SpanResidency, TrafficClass};
 
 /// Typed configuration of the GoSPA-SNN model. Registered in the
@@ -86,11 +91,10 @@ loas_core::impl_model_config!(GospaConfig, "gospa", {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GospaSnn {
     params: GospaConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for GospaSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         GospaSnn::new(GospaConfig::default())
     }
@@ -99,17 +103,7 @@ impl Default for GospaSnn {
 impl GospaSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: GospaConfig) -> Self {
-        GospaSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
-    }
-
-    /// Selects the traffic-path strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
+        GospaSnn { params }
     }
 
     /// Off-chip psum traffic (bytes) for a given live-psum footprint: what
@@ -118,14 +112,10 @@ impl GospaSnn {
     pub fn psum_spill_bytes(&self, live_psum_bytes: u64) -> u64 {
         live_psum_bytes.saturating_sub(self.params.psum_buffer_bytes as u64)
     }
-}
 
-impl Accelerator for GospaSnn {
-    fn name(&self) -> String {
-        "GoSPA-SNN".to_owned()
-    }
-
-    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+    /// Simulates one layer with the span walk of the `B` rows, or with
+    /// `oracle` the pre-span per-access walk.
+    fn simulate(&self, layer: &PreparedLayer, oracle: bool) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
         let mut machine = Machine::standard();
@@ -167,10 +157,10 @@ impl Accelerator for GospaSnn {
         }
         // The span path of the k-major walk: per-row spans precomputed
         // once, residency tokens so the timestep-over-timestep re-walk of
-        // a still-hot row is all-hits with no tag compares. The reference
-        // strategy keeps the per-access arithmetic below as the oracle;
-        // reports are byte-identical either way (asserted in tests).
-        let mut spanned_rows = (self.sweep == SweepStrategy::Kernel).then(|| {
+        // a still-hot row is all-hits with no tag compares. The oracle
+        // keeps the per-access arithmetic below; reports are
+        // byte-identical either way (asserted in tests).
+        let mut spanned_rows = (!oracle).then(|| {
             let line_bytes = machine.cache.line_bytes();
             let spans: Vec<LineSpan> = b_row_addr
                 .iter()
@@ -249,6 +239,21 @@ impl Accelerator for GospaSnn {
     }
 }
 
+impl Accelerator for GospaSnn {
+    fn name(&self) -> String {
+        "GoSPA-SNN".to_owned()
+    }
+
+    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, false)
+    }
+
+    /// The pre-span per-access walk of the `B` rows.
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, true)
+    }
+}
+
 /// The accelerator-catalog entry for this model.
 pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
     loas_core::ModelEntry::new(
@@ -321,14 +326,8 @@ mod tests {
     #[test]
     fn span_and_reference_walks_are_byte_identical() {
         let l = layer(4, 64);
-        let golden = GospaSnn::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&l)
-            .to_portable();
-        let span = GospaSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .run_layer(&l)
-            .to_portable();
+        let golden = GospaSnn::default().run_layer_reference(&l).to_portable();
+        let span = GospaSnn::default().run_layer(&l).to_portable();
         assert_eq!(span, golden);
     }
 

@@ -20,18 +20,18 @@
 //!
 //! The per-`(row, column, timestep)` AND-popcount sweep only enters the
 //! report through sums that are linear in the per-timestep match counts,
-//! so the kernel strategy replaces the whole `O(M·N·T·K/64)` sweep with
+//! so `run_layer` replaces the whole `O(M·N·T·K/64)` sweep with
 //! the `O(nnz)` identity `Σ_{n,t} |A_t[m] ∧ B[n]| = Σ_k fires(m, k) ·
 //! rowNNZ_B(k)` folded per tile, then replays the tag-accurate cache
-//! accesses in the original order. [`loas_core::SweepStrategy::Reference`]
-//! preserves the pre-kernel scalar loop; both produce byte-identical
-//! reports (asserted in tests). The kernel shortcut requires byte-aligned
-//! weights (`weight_bits % 8 == 0`, true for the paper configuration) so
-//! per-access byte rounding stays exact under aggregation; other widths
-//! fall back to the scalar loop.
+//! accesses in the original order. The kernel shortcut requires
+//! byte-aligned weights (`weight_bits % 8 == 0`, true for the paper
+//! configuration) so per-access byte rounding stays exact under
+//! aggregation; other widths fall back to the pre-kernel scalar loop.
+//! [`Accelerator::run_layer_reference`] always takes the scalar loop, and
+//! both walks produce byte-identical reports (asserted in tests).
 
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
 use loas_sim::{Cycle, LineSpan, SpanResidency, TrafficClass};
 use loas_sparse::POINTER_BITS;
 
@@ -130,11 +130,10 @@ loas_core::impl_model_config!(SparTenConfig, "sparten", {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparTenSnn {
     params: SparTenConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for SparTenSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         SparTenSnn::new(SparTenConfig::default())
     }
@@ -143,32 +142,18 @@ impl Default for SparTenSnn {
 impl SparTenSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: SparTenConfig) -> Self {
-        SparTenSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
-    }
-
-    /// Selects the pure-phase sweep strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
+        SparTenSnn { params }
     }
 
     /// Whether the aggregated kernel shortcut is exact for these
     /// parameters (per-timestep weight-byte rounding must be linear).
     fn kernel_path(&self) -> bool {
-        self.sweep == SweepStrategy::Kernel && self.params.weight_bits.is_multiple_of(8)
-    }
-}
-
-impl Accelerator for SparTenSnn {
-    fn name(&self) -> String {
-        "SparTen-SNN".to_owned()
+        self.params.weight_bits.is_multiple_of(8)
     }
 
-    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+    /// Simulates one layer with the aggregated kernel shortcut (`kernel`)
+    /// or the pre-kernel per-`(pair, timestep)` scalar loop.
+    fn simulate(&self, layer: &PreparedLayer, kernel: bool) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
         let mut machine = Machine::with_cache(
@@ -207,15 +192,15 @@ impl Accelerator for SparTenSnn {
         let planes = layer.workload.spikes.planes();
         let row_bytes = shape.k.div_ceil(8) as u64;
 
-        // Span path (kernel strategy): the bm-B rounds and A-row loads go
-        // through precomputed LineSpans, with residency tokens on bm-B so
-        // the `T` back-to-back re-scans of a still-resident bitmask (and
-        // the next tile's revisit) take the all-hits fast path. The
-        // reference strategy keeps the per-access arithmetic as the
-        // oracle; reports are byte-identical (asserted in tests).
+        // Span path (kernel shortcut): the bm-B rounds go through
+        // precomputed LineSpans, with residency tokens on bm-B so the `T`
+        // back-to-back re-scans of a still-resident bitmask (and the next
+        // tile's revisit) take the all-hits fast path. The scalar loop
+        // keeps the per-access arithmetic; reports are byte-identical
+        // (asserted in tests).
         let line_bytes = machine.cache.line_bytes();
         let b_bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
-        let mut spanned_b = self.kernel_path().then(|| {
+        let mut spanned_b = kernel.then(|| {
             let spans: Vec<LineSpan> = b_addr
                 .iter()
                 .map(|&addr| LineSpan::of_range(addr, b_bm_bytes, line_bytes))
@@ -246,7 +231,7 @@ impl Accelerator for SparTenSnn {
             // the tile has fewer than 16 rows: account work at pair
             // granularity divided across PEs.
             let mut tile_work = 0u64;
-            if self.kernel_path() {
+            if kernel {
                 // Pure phase: the tile's total per-timestep match count in
                 // O(nnz_tile) — every fired (m, k, t) bit meets
                 // rowNNZ_B(k) columns.
@@ -328,6 +313,21 @@ impl Accelerator for SparTenSnn {
     }
 }
 
+impl Accelerator for SparTenSnn {
+    fn name(&self) -> String {
+        "SparTen-SNN".to_owned()
+    }
+
+    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, self.kernel_path())
+    }
+
+    /// The pre-kernel per-`(pair, timestep)` scalar loop.
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, false)
+    }
+}
+
 /// The accelerator-catalog entry for this model.
 pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
     loas_core::ModelEntry::new(
@@ -401,28 +401,25 @@ mod tests {
         // The O(nnz) aggregated sweep must reproduce the pre-kernel
         // per-(pair, timestep) loop bit for bit.
         let l = layer();
-        let golden = SparTenSnn::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&l)
-            .to_portable();
-        let kernel = SparTenSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .run_layer(&l)
-            .to_portable();
+        let golden = SparTenSnn::default().run_layer_reference(&l).to_portable();
+        let kernel = SparTenSnn::default().run_layer(&l).to_portable();
         assert_eq!(kernel, golden);
     }
 
     #[test]
     fn odd_weight_widths_fall_back_to_the_scalar_sweep() {
-        let model = SparTenSnn::new(SparTenConfig {
+        let mut model = SparTenSnn::new(SparTenConfig {
             weight_bits: 6,
             ..SparTenConfig::default()
-        })
-        .with_sweep(SweepStrategy::Kernel);
+        });
         assert!(!model.kernel_path(), "6-bit weights round per access");
-        assert!(SparTenSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .kernel_path());
+        assert!(SparTenSnn::default().kernel_path());
+        // The fallback is the oracle walk itself.
+        let l = layer();
+        assert_eq!(
+            model.run_layer(&l).to_portable(),
+            model.run_layer_reference(&l).to_portable()
+        );
     }
 
     #[test]

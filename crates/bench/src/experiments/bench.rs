@@ -8,10 +8,11 @@
 //! the current PR's record must not regress kernel pairs/s or end-to-end
 //! wall time by more than 20% against its predecessor:
 //!
-//! * **A/B wall clock** — every design simulated single-threaded with the
-//!   pre-kernel scalar sweep ([`SweepStrategy::Reference`]) and with the
-//!   two-phase [`PairSweepKernel`] path, same prepared layers, per-design
-//!   and total speedup;
+//! * **A/B wall clock** — every design simulated single-threaded with its
+//!   oracle walk ([`Accelerator::run_layer_reference`]: the pre-kernel
+//!   scalar sweep and per-access traffic arithmetic) and with its fast
+//!   walk (the two-phase [`PairSweepKernel`] path and span replay), same
+//!   prepared layers, per-design and total speedup;
 //! * **kernel throughput** — pairs/second of the pure intersection phase,
 //!   measured through the criterion shim's `measure_median`;
 //! * **campaign wall time** — the whole grid as one cold-store engine
@@ -23,12 +24,11 @@
 //! `repro bench` (CI runs `repro --quick bench` as a perf smoke).
 //!
 //! [`PairSweepKernel`]: loas_core::kernel::PairSweepKernel
-//! [`SweepStrategy`]: loas_core::SweepStrategy
 
 use crate::context::{Context, Design};
 use crate::report::Table;
 use loas_core::kernel::SweepMode;
-use loas_core::{Accelerator, PreparedLayer, SweepStrategy};
+use loas_core::{Accelerator, PreparedLayer};
 use loas_engine::Campaign;
 use loas_workloads::networks::{self, NetworkSpec};
 use std::sync::Arc;
@@ -66,34 +66,22 @@ fn design_layers(ctx: &Context, design: Design) -> Vec<Arc<PreparedLayer>> {
         .expect("fig13 grid profiles are feasible")
 }
 
-/// One single-threaded simulation pass of `design` over its grid layers.
-fn timed_pass(design: Design, layers: &[Arc<PreparedLayer>], sweep: SweepStrategy) -> f64 {
-    let mut model = model_for(design, sweep);
+/// One single-threaded simulation pass of `design` over its grid layers,
+/// on the model's oracle walk or its fast walk.
+fn timed_pass(design: Design, layers: &[Arc<PreparedLayer>], oracle: bool) -> f64 {
+    let mut model = design.accelerator_spec().build();
     let start = Instant::now();
     let mut checksum = 0u64;
     for layer in layers {
-        checksum = checksum.wrapping_add(model.run_layer(layer).stats.cycles.get());
+        let report = if oracle {
+            model.run_layer_reference(layer)
+        } else {
+            model.run_layer(layer)
+        };
+        checksum = checksum.wrapping_add(report.stats.cycles.get());
     }
     std::hint::black_box(checksum);
     start.elapsed().as_secs_f64()
-}
-
-/// Builds the design's model pinned to the given sweep strategy (since
-/// PR 5 every spMspM design has a Reference/Kernel toggle — Gamma and
-/// GoSPA gained one with the span-based traffic path).
-fn model_for(design: Design, sweep: SweepStrategy) -> Box<dyn Accelerator + Send> {
-    match design {
-        Design::SparTen => Box::new(loas_baselines::SparTenSnn::default().with_sweep(sweep)),
-        Design::Gamma => Box::new(loas_baselines::GammaSnn::default().with_sweep(sweep)),
-        Design::Gospa => Box::new(loas_baselines::GospaSnn::default().with_sweep(sweep)),
-        Design::Loas | Design::LoasFt => {
-            let spec = design.accelerator_spec();
-            let config: &loas_core::LoasConfig =
-                spec.typed_config().expect("LoAS designs map to LoAS specs");
-            Box::new(loas_core::Loas::new(config.clone()).with_sweep(sweep))
-        }
-        _ => design.accelerator_spec().build(),
-    }
 }
 
 /// Runs the benchmark, writes the JSON record, and returns the summary
@@ -114,8 +102,8 @@ fn run_to(ctx: &mut Context, path: &str) -> Vec<Table> {
     let mut kernel_total = 0.0f64;
     for design in designs {
         let layers = design_layers(ctx, design);
-        let scalar = timed_pass(design, &layers, SweepStrategy::Reference);
-        let kernel = timed_pass(design, &layers, SweepStrategy::Kernel);
+        let scalar = timed_pass(design, &layers, true);
+        let kernel = timed_pass(design, &layers, false);
         scalar_total += scalar;
         kernel_total += kernel;
         rows.push((design, scalar, kernel));

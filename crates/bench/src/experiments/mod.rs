@@ -45,7 +45,7 @@ pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("ablations", ablations::run),
     ("sweeps", sweeps::run),
     // Simulator-performance baseline, not a paper figure: excluded from
-    // `repro all` (it re-times the fig13 grid on both sweep strategies);
+    // `repro all` (it re-times the fig13 grid on both walks of every model);
     // run explicitly with `repro bench`.
     ("bench", bench::run),
 ];

@@ -1,6 +1,5 @@
 //! The paper's published values, kept next to the measured results so every
-//! table the harness prints can show `paper vs measured` side by side (and
-//! so EXPERIMENTS.md has one source of truth).
+//! table the harness prints can show `paper vs measured` side by side.
 
 /// Fig. 12 — network-level speedup of LoAS(FT) over the three spMspM
 /// baselines, as stated in Section VI-A: averages 6.79x / 5.99x / 3.25x

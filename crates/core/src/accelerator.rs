@@ -18,15 +18,18 @@
 //! fiber-B words hoisted), optionally fanned out across row tiles on
 //! scoped worker threads. The **sequential traffic phase** then replays
 //! the per-pair counts through the HBM/SRAM/crossbar models in the exact
-//! pre-kernel order. On the kernel strategy the replay consumes the
-//! layer's precomputed [`TrafficSpans`] — fixed cache-line spans per
-//! row/column object, no per-pair address arithmetic — and carries
+//! pre-kernel order. The replay consumes the layer's precomputed
+//! [`TrafficSpans`] — fixed cache-line spans per row/column object, no
+//! per-pair address arithmetic — and carries
 //! [`SpanResidency`](loas_sim::SpanResidency) tokens on the per-column
 //! fiber-B broadcasts so re-touching a still-resident fiber takes the
-//! cache's all-hits fast path; the reference strategy keeps the original
-//! per-access arithmetic as the oracle. Reports are byte-identical by
-//! construction for any [`SweepStrategy`] and worker count (asserted via
-//! the portable serialization in this crate's tests).
+//! cache's all-hits fast path.
+//!
+//! [`Accelerator::run_layer_reference`] is the kept oracle: the
+//! pre-kernel scalar sweep plus the original per-access address
+//! arithmetic, through the same phase-2 replay code. Reports are
+//! byte-identical for both walks and any worker count (asserted via the
+//! portable serialization in this crate's tests).
 //!
 //! # Traffic accounting (what the paper's Figs. 13-14 count)
 //!
@@ -61,45 +64,6 @@ use loas_snn::SpikeTensor;
 use loas_sparse::{Bitmask, PackedSpikes, POINTER_BITS};
 use std::borrow::Cow;
 
-/// How a model computes its pure pair-intersection phase.
-///
-/// Both strategies produce byte-identical reports; [`SweepStrategy::Kernel`]
-/// is the optimized default and [`SweepStrategy::Reference`] preserves the
-/// pre-kernel scalar code path for cross-checking and as the benchmark
-/// baseline every perf PR is judged against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepStrategy {
-    /// The cache-friendly [`PairSweepKernel`] sweep over the prepared
-    /// structure-of-arrays layout, parallelizable across row tiles.
-    #[default]
-    Kernel,
-    /// The pre-kernel scalar path: per-pair bitmask chunk iteration plus
-    /// per-timestep `and_count`s, sequential.
-    Reference,
-}
-
-impl SweepStrategy {
-    /// Resolves the strategy from the `LOAS_SWEEP` environment variable:
-    /// `scalar` / `reference` select the pre-kernel path (letting CI and
-    /// A/B runs toggle whole campaigns without plumbing flags), `kernel` /
-    /// unset the kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value: a typo here would silently turn the
-    /// scalar-vs-kernel golden A/B into a kernel-vs-kernel no-op, so
-    /// unknown toggles fail loud instead.
-    pub fn from_env() -> Self {
-        match std::env::var("LOAS_SWEEP").ok().as_deref() {
-            Some("scalar") | Some("reference") => SweepStrategy::Reference,
-            Some("kernel") | Some("") | None => SweepStrategy::Kernel,
-            Some(other) => panic!(
-                "unknown LOAS_SWEEP value `{other}` (expected `kernel`, `scalar`, or `reference`)"
-            ),
-        }
-    }
-}
-
 /// The LoAS accelerator simulator.
 ///
 /// # Examples
@@ -121,7 +85,6 @@ pub struct Loas {
     config: LoasConfig,
     energy: EnergyModel,
     verify_outputs: bool,
-    sweep: SweepStrategy,
     intra_workers: usize,
 }
 
@@ -132,7 +95,6 @@ impl Loas {
             config,
             energy: EnergyModel::default(),
             verify_outputs: false,
-            sweep: SweepStrategy::from_env(),
             intra_workers: 1,
         }
     }
@@ -141,13 +103,6 @@ impl Loas {
     /// output spikes) — slower, used for functional verification.
     pub fn with_verification(mut self, verify: bool) -> Self {
         self.verify_outputs = verify;
-        self
-    }
-
-    /// Selects the pure-phase sweep strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
         self
     }
 
@@ -288,14 +243,14 @@ struct PairMetrics {
 
 /// The tag-accurate probe endpoints of the sequential traffic replay.
 ///
-/// [`SweepStrategy::Kernel`] drives the cache through the layer's
-/// precomputed [`TrafficSpans`] — no per-access address arithmetic, and
+/// `run_layer` drives the cache through the layer's precomputed
+/// [`TrafficSpans`] — no per-access address arithmetic, and
 /// [`SpanResidency`] tokens on the per-column fiber-B objects so the
 /// re-broadcast of a still-resident fiber to the next row tile takes the
-/// all-hits fast path. [`SweepStrategy::Reference`] keeps the original
-/// address map and per-access `access_range`/`probe_range` arithmetic as
-/// the oracle. Both variants touch the same lines in the same order, so
-/// reports are byte-identical (asserted in tests and ci.sh).
+/// all-hits fast path. The oracle walk keeps the original address map and
+/// per-access `access_range`/`probe_range` arithmetic. Both variants
+/// touch the same lines in the same order, so reports are byte-identical
+/// (asserted in tests).
 enum TrafficProbes<'a> {
     Spans {
         spans: Cow<'a, TrafficSpans>,
@@ -450,6 +405,21 @@ impl Accelerator for Loas {
     }
 
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, false)
+    }
+
+    /// The pre-kernel scalar sweep and the address-arithmetic replay.
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, true)
+    }
+}
+
+impl Loas {
+    /// Simulates one layer: the kernel sweep and span replay, or with
+    /// `oracle` the scalar sweep and address-arithmetic replay. The phase-2
+    /// replay is one copy; the walks differ only in the phase-1 sweep and
+    /// the probe endpoints.
+    fn simulate(&self, layer: &PreparedLayer, oracle: bool) -> LayerReport {
         let shape = layer.shape;
         assert_eq!(
             shape.t, self.config.timesteps,
@@ -472,31 +442,29 @@ impl Accelerator for Loas {
         // ---- Phase 1 (pure compute): the pair-intersection sweep, with no
         // memory-system state touched, fanned out across row tiles.
         let mode = self.sweep_mode();
-        let tile_sweeps: Vec<TileSweep> = match self.sweep {
-            SweepStrategy::Kernel => {
-                let b_words: Vec<&[u64]> = layer
-                    .b_fibers
-                    .iter()
-                    .map(|fiber| fiber.bitmask().words())
-                    .collect();
-                self.sweep_kernel().sweep_layer(
-                    &layer.row_blocks,
-                    &b_words,
-                    self.config.tppes,
-                    mode,
-                    self.intra_workers,
-                )
-            }
-            SweepStrategy::Reference => self.reference_sweep(layer, mode),
+        let tile_sweeps: Vec<TileSweep> = if oracle {
+            self.reference_sweep(layer, mode)
+        } else {
+            let b_words: Vec<&[u64]> = layer
+                .b_fibers
+                .iter()
+                .map(|fiber| fiber.bitmask().words())
+                .collect();
+            self.sweep_kernel().sweep_layer(
+                &layer.row_blocks,
+                &b_words,
+                self.config.tppes,
+                mode,
+                self.intra_workers,
+            )
         };
         // Per-row per-timestep firing counts enter the report only through
         // global sums: corrections = T * matches - fired. The kernel path
         // computes the layer total in O(K) instead of sweeping plane rows.
-        let fired_total: u64 = match (mode, self.sweep) {
-            (SweepMode::TemporalParallel, SweepStrategy::Kernel) => {
-                fired_grand_total(&layer.col_spikes, &layer.b_row_nnz)
-            }
-            _ => tile_sweeps.iter().map(|sweep| sweep.fired_total).sum(),
+        let fired_total: u64 = if mode == SweepMode::TemporalParallel && !oracle {
+            fired_grand_total(&layer.col_spikes, &layer.b_row_nnz)
+        } else {
+            tile_sweeps.iter().map(|sweep| sweep.fired_total).sum()
         };
 
         // ---- Phase 2 (sequential traffic): off-chip streaming plus the
@@ -512,14 +480,13 @@ impl Accelerator for Loas {
         hbm.read_bits(TrafficClass::Weight, b_payload_bits);
         let line = self.config.cache_line_bytes as u64;
 
-        // Probe endpoints for the tag-accurate cache: the kernel strategy
-        // replays through the precomputed spans, the reference strategy
-        // through the original address arithmetic (the oracle).
-        let mut probes = match self.sweep {
-            SweepStrategy::Kernel => {
-                TrafficProbes::spans(layer, self.config.weight_bits, self.config.cache_line_bytes)
-            }
-            SweepStrategy::Reference => TrafficProbes::address(layer, self.config.weight_bits),
+        // Probe endpoints for the tag-accurate cache: the fast walk
+        // replays through the precomputed spans, the oracle through the
+        // original address arithmetic.
+        let mut probes = if oracle {
+            TrafficProbes::address(layer, self.config.weight_bits)
+        } else {
+            TrafficProbes::spans(layer, self.config.weight_bits, self.config.cache_line_bytes)
         };
 
         let mut compute = 0u64;
@@ -798,7 +765,7 @@ mod tests {
     }
 
     /// Every LoAS variant must produce byte-identical portable reports for
-    /// the kernel and pre-kernel sweep strategies, at any intra-layer
+    /// the kernel walk and the pre-kernel oracle, at any intra-layer
     /// worker count — the two-phase refactor's core guarantee.
     #[test]
     fn kernel_and_reference_sweeps_are_byte_identical() {
@@ -813,40 +780,20 @@ mod tests {
         ];
         for config in configs {
             let golden = Loas::new(config.clone())
-                .with_sweep(SweepStrategy::Reference)
-                .run_layer(&layer)
+                .run_layer_reference(&layer)
                 .to_portable();
             for workers in [1usize, 2, 4] {
                 let report = Loas::new(config.clone())
-                    .with_sweep(SweepStrategy::Kernel)
                     .with_intra_workers(workers)
                     .run_layer(&layer)
                     .to_portable();
                 assert_eq!(
                     report,
                     golden,
-                    "strategy/worker divergence for {} at {workers} workers",
+                    "walk/worker divergence for {} at {workers} workers",
                     Loas::new(config.clone()).name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn sweep_strategy_env_parsing() {
-        // from_env reads the process environment; the mapping itself is
-        // what needs pinning (set_var would race the parallel harness).
-        assert_eq!(SweepStrategy::default(), SweepStrategy::Kernel);
-        let map = |v: Option<&str>| match v {
-            Some("scalar") | Some("reference") => Some(SweepStrategy::Reference),
-            Some("kernel") | Some("") | None => Some(SweepStrategy::Kernel),
-            Some(_) => None, // from_env panics: a typo must not pass as Kernel
-        };
-        assert_eq!(map(Some("scalar")), Some(SweepStrategy::Reference));
-        assert_eq!(map(Some("reference")), Some(SweepStrategy::Reference));
-        assert_eq!(map(Some("kernel")), Some(SweepStrategy::Kernel));
-        assert_eq!(map(Some("")), Some(SweepStrategy::Kernel));
-        assert_eq!(map(None), Some(SweepStrategy::Kernel));
-        assert_eq!(map(Some("Scalar")), None, "case typos fail loud");
     }
 }

@@ -64,7 +64,7 @@ mod portable;
 mod prepared;
 mod tppe;
 
-pub use accelerator::{Loas, SweepStrategy};
+pub use accelerator::Loas;
 pub use accumulator::{Accumulator, AccumulatorBank};
 pub use area_power::AreaPowerModel;
 pub use catalog::{Catalog, CatalogError, ConfigValue, ModelConfig, ModelEntry};

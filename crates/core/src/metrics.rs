@@ -111,6 +111,17 @@ pub trait Accelerator {
     /// Simulates one prepared layer end to end.
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport;
 
+    /// The model's kept oracle walk; tests compare `run_layer` against it.
+    ///
+    /// Models whose `run_layer` is an optimized walk (kernel sweeps,
+    /// precomputed traffic spans, residency tokens) override this with
+    /// their original straightforward walk, and the two must produce
+    /// byte-identical reports. Models with a single walk keep this
+    /// default, which is `run_layer` itself.
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.run_layer(layer)
+    }
+
     /// Grants the model an intra-layer worker budget for its pure compute
     /// phase (see [`crate::kernel`]). Models without a parallel phase
     /// ignore it; implementations must produce byte-identical reports for
@@ -135,6 +146,10 @@ impl<A: Accelerator + ?Sized> Accelerator for Box<A> {
 
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
         (**self).run_layer(layer)
+    }
+
+    fn run_layer_reference(&mut self, layer: &PreparedLayer) -> LayerReport {
+        (**self).run_layer_reference(layer)
     }
 
     fn set_intra_workers(&mut self, workers: usize) {
@@ -185,5 +200,37 @@ mod tests {
         let a = NetworkReport::new("n", "a", vec![report(100, 1.0)]);
         let b = NetworkReport::new("n", "b", vec![report(300, 1.0)]);
         assert!((a.speedup_over(&b) - 3.0).abs() < 1e-12);
+    }
+
+    /// A model whose oracle walk is distinguishable from its fast walk.
+    struct TwoWalks;
+
+    impl Accelerator for TwoWalks {
+        fn name(&self) -> String {
+            "two-walks".to_owned()
+        }
+
+        fn run_layer(&mut self, _layer: &PreparedLayer) -> LayerReport {
+            report(1, 0.0)
+        }
+
+        fn run_layer_reference(&mut self, _layer: &PreparedLayer) -> LayerReport {
+            report(2, 0.0)
+        }
+    }
+
+    #[test]
+    fn boxed_models_forward_the_oracle_walk() {
+        // Catalog models arrive boxed; without the forward every A/B of a
+        // boxed model would silently compare the fast walk with itself.
+        use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
+        let profile = SparsityProfile::from_percentages(75.0, 60.0, 68.0, 90.0).unwrap();
+        let workload = WorkloadGenerator::default()
+            .generate("box", LayerShape::new(4, 2, 2, 64), &profile)
+            .unwrap();
+        let layer = PreparedLayer::new(&workload);
+        let mut boxed: Box<dyn Accelerator + Send> = Box::new(TwoWalks);
+        assert_eq!(boxed.run_layer(&layer).stats.cycles, Cycle(1));
+        assert_eq!(boxed.run_layer_reference(&layer).stats.cycles, Cycle(2));
     }
 }

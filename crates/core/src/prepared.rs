@@ -8,7 +8,7 @@
 use crate::kernel::RowBlocks;
 use loas_sim::LineSpan;
 use loas_snn::LifParams;
-use loas_sparse::{Bitmask, CsrMatrix, PackedSpikes, SpikeFiber, WeightFiber, POINTER_BITS};
+use loas_sparse::{coordinate_bits, Bitmask, PackedSpikes, SpikeFiber, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
 use std::borrow::Cow;
 
@@ -148,8 +148,6 @@ pub struct PreparedLayer {
     pub a_fibers: Vec<SpikeFiber>,
     /// Per-column compressed weight fibers.
     pub b_fibers: Vec<WeightFiber>,
-    /// Per-timestep CSR views of the spike planes (GoSPA's format).
-    pub a_csr_per_t: Vec<CsrMatrix<()>>,
     /// Per-row non-zero weight counts of `B` viewed row-wise (for OP/Gust
     /// models: `B`'s row `k`).
     pub b_row_nnz: Vec<usize>,
@@ -175,12 +173,6 @@ impl PreparedLayer {
         let b_fibers: Vec<WeightFiber> = (0..shape.n)
             .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
             .collect();
-        let a_csr_per_t = workload
-            .spikes
-            .planes()
-            .iter()
-            .map(CsrMatrix::from_bit_matrix)
-            .collect();
         let mut b_row_nnz = vec![0usize; shape.k];
         for (ki, nnz) in b_row_nnz.iter_mut().enumerate() {
             *nnz = workload.weights.row(ki).iter().filter(|&&w| w != 0).count();
@@ -205,7 +197,6 @@ impl PreparedLayer {
             workload: workload.clone(),
             a_fibers,
             b_fibers,
-            a_csr_per_t,
             b_row_nnz,
             row_blocks,
             col_spikes,
@@ -283,12 +274,21 @@ impl PreparedLayer {
 
     /// Size of `A` in per-timestep CSR (GoSPA-SNN), split as
     /// `(payload_bits, format_bits)`; spike CSR stores only coordinates, so
-    /// payload is zero and everything is format overhead.
+    /// payload is zero and everything is format overhead. Computed from
+    /// per-plane spike counts with the formula of
+    /// [`loas_sparse::CsrMatrix::storage_bits`] (`bits_per_value = 0`):
+    /// a column coordinate per spike plus an `M + 1` row-pointer array.
     pub fn a_csr_bits(&self) -> (u64, u64) {
+        let (m, k) = (self.shape.m, self.shape.k);
         let format = self
-            .a_csr_per_t
+            .workload
+            .spikes
+            .planes()
             .iter()
-            .map(|csr| csr.storage_bits(0) as u64)
+            .map(|plane| {
+                let nnz = plane.popcount();
+                (nnz * coordinate_bits(k) + coordinate_bits(nnz.max(1)) * (m + 1)) as u64
+            })
             .sum();
         (0, format)
     }
@@ -323,7 +323,6 @@ mod tests {
         let p = prepared();
         assert_eq!(p.a_fibers.len(), 8);
         assert_eq!(p.b_fibers.len(), 6);
-        assert_eq!(p.a_csr_per_t.len(), 4);
         assert_eq!(p.b_row_nnz.len(), 64);
     }
 
@@ -336,8 +335,6 @@ mod tests {
             p.b_nnz(),
             "row-wise and column-wise B nnz agree"
         );
-        let csr_nnz: usize = p.a_csr_per_t.iter().map(|c| c.nnz()).sum();
-        assert_eq!(csr_nnz, p.spike_count());
     }
 
     #[test]
@@ -353,6 +350,44 @@ mod tests {
         );
         let (_, csr_format) = p.a_csr_bits();
         assert!(csr_format > 0);
+    }
+
+    #[test]
+    fn a_csr_bits_match_the_materialized_csr() {
+        let generator = WorkloadGenerator::default();
+        let profile = SparsityProfile::from_percentages(75.0, 60.0, 70.0, 90.0).unwrap();
+        for (t, m, n, k) in [
+            (4, 8, 6, 64),
+            (4, 1, 3, 16),
+            (4, 33, 5, 130),
+            (8, 17, 4, 200),
+        ] {
+            let w = generator
+                .generate("csr-bits", LayerShape::new(t, m, n, k), &profile)
+                .unwrap();
+            let p = PreparedLayer::new(&w);
+            let materialized: u64 = w
+                .spikes
+                .planes()
+                .iter()
+                .map(|plane| loas_sparse::CsrMatrix::from_bit_matrix(plane).storage_bits(0) as u64)
+                .sum();
+            assert_eq!(
+                p.a_csr_bits(),
+                (0, materialized),
+                "shape ({t}, {m}, {n}, {k})"
+            );
+        }
+        // An all-silent plane still stores its row-pointer array.
+        let silent = loas_workloads::LayerWorkload {
+            spikes: loas_snn::SpikeTensor::zeros(5, 16, 4),
+            ..generator
+                .generate("silent", LayerShape::new(4, 5, 3, 16), &profile)
+                .unwrap()
+        };
+        let p = PreparedLayer::new(&silent);
+        let empty = loas_sparse::CsrMatrix::from_bit_matrix(silent.spikes.plane(0));
+        assert_eq!(p.a_csr_bits().1, 4 * empty.storage_bits(0) as u64);
     }
 
     #[test]

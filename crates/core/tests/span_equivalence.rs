@@ -5,7 +5,7 @@
 //! replay must produce byte-identical reports to the address-arithmetic
 //! reference oracle.
 
-use loas_core::{Accelerator, Loas, PreparedLayer, SweepStrategy, TrafficSpans};
+use loas_core::{Accelerator, Loas, PreparedLayer, TrafficSpans};
 use loas_sim::LineSpan;
 use loas_sparse::POINTER_BITS;
 use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
@@ -137,14 +137,8 @@ proptest! {
         else {
             continue;
         };
-        let golden = Loas::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&layer)
-            .to_portable();
-        let span = Loas::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .run_layer(&layer)
-            .to_portable();
+        let golden = Loas::default().run_layer_reference(&layer).to_portable();
+        let span = Loas::default().run_layer(&layer).to_portable();
         prop_assert_eq!(span, golden);
     }
 }

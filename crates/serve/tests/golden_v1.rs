@@ -10,7 +10,10 @@
 //! the three may ever change — a diff here means warm memo stores and
 //! archived reports break.
 
+use loas_core::{Accelerator, PreparedLayer};
+use loas_engine::{JobRecord, WorkloadKey};
 use loas_serve::spec_io::{campaign_from_json, campaign_to_json};
+use std::collections::HashMap;
 
 const GOLDEN_SPEC: &str = include_str!("golden/headline-v1.spec.json");
 const GOLDEN_MEMO_KEYS: &str = include_str!("golden/headline-v1.memo-keys.txt");
@@ -69,5 +72,44 @@ fn golden_v1_campaign_replays_byte_identically() {
         outcome.jsonl(),
         GOLDEN_REPORT,
         "catalog dispatch diverged from the pre-redesign report"
+    );
+}
+
+#[test]
+fn golden_v1_campaign_replays_byte_identically_on_the_oracle_walks() {
+    // Every model's kept oracle walk (pre-kernel scalar sweeps, per-access
+    // traffic arithmetic, pre-span cache walks) must reproduce the
+    // committed report too, so each fast walk is pinned to the fixture
+    // through an independent path.
+    let campaign = campaign_from_json(GOLDEN_SPEC).unwrap();
+    let mut bases: HashMap<WorkloadKey, PreparedLayer> = HashMap::new();
+    let mut lines = String::new();
+    for (index, job) in campaign.jobs().iter().enumerate() {
+        let base_spec = job.workload.base();
+        let base = bases
+            .entry(base_spec.key())
+            .or_insert_with(|| base_spec.prepare().expect("golden profiles are feasible"));
+        let fine_tuned;
+        let layer = if job.workload.fine_tuned {
+            fine_tuned = job.workload.prepare_from_base(base);
+            &fine_tuned
+        } else {
+            &*base
+        };
+        let report = job.accelerator.build().run_layer_reference(layer);
+        let record = JobRecord {
+            job: index,
+            label: job.label.clone(),
+            network: job.network.clone(),
+            layer_index: job.layer_index,
+            report,
+            sim_seconds: 0.0,
+        };
+        lines.push_str(&record.to_json());
+        lines.push('\n');
+    }
+    assert_eq!(
+        lines, GOLDEN_REPORT,
+        "an oracle walk diverged from the committed report"
     );
 }
