@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints on the engine/serve crates, release
-# build, the full workspace test suite (tier-1 verify is those two steps;
-# the suite includes the committed golden-v1-spec memo-key assertions and
-# the v2 spec round-trip property test), an end-to-end loas-serve smoke
-# test (enqueue -> run two shard processes -> merge -> verify
-# byte-identical to a single-process run -> warm-store replay with zero
-# simulations), a v1-vs-v2 spec A/B against the committed pre-redesign
-# report, a served baseline-config sweep (Gamma FiberCache), smokes for
-# the queue admin commands (batch enqueue, requeue, fsck, models), a perf
-# smoke emitting a quick-grid BENCH_PR5.json, a bench-trajectory gate
-# comparing the committed BENCH_PR5.json against BENCH_PR3.json (fails on
-# a >20% regression in kernel pairs/s or end-to-end wall time, and
-# requires BENCH_PR5.json's >=1.3x end-to-end gain). Every model's fast
-# walk is A/B'd against its oracle walk (`run_layer_reference`) by the
-# test suite, including a golden test that runs the committed headline
+# CI entry point: formatting, lints on the engine, serve, core,
+# baselines, snn and sparse crates, release build, the full workspace
+# test suite (tier-1 verify is those two steps; the suite includes the
+# committed golden-v1-spec memo-key assertions and the v2 spec
+# round-trip property test), an end-to-end loas-serve smoke test
+# (enqueue -> run two shard processes -> merge -> verify byte-identical
+# to a single-process run -> warm-store replay with zero simulations), a
+# v1-vs-v2 spec A/B against the committed pre-redesign report, a served
+# baseline-config sweep (Gamma FiberCache), smokes for the queue admin
+# commands (batch enqueue, requeue, fsck, models), a perf smoke emitting
+# a quick-grid BENCH_PR5.json, a bench-trajectory gate comparing the
+# committed BENCH_PR5.json against BENCH_PR3.json (fails on a >20%
+# regression in kernel pairs/s or end-to-end wall time, and requires
+# BENCH_PR5.json's >=1.3x end-to-end gain). Every model's fast walk is
+# A/B'd against its oracle walk (`run_layer_reference`) by the test
+# suite, including a golden test that runs the committed headline
 # campaign on the oracle walks against the committed report.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -21,8 +22,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (loas-engine + loas-serve, deny warnings)"
-cargo clippy -p loas-engine -p loas-serve --all-targets -- -D warnings
+echo "== cargo clippy (engine, serve, core, baselines, snn, sparse; deny warnings)"
+cargo clippy -p loas-engine -p loas-serve -p loas-core -p loas-baselines -p loas-snn -p loas-sparse --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release

@@ -33,7 +33,7 @@
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
 use loas_core::{Accelerator, LayerReport, PreparedLayer};
 use loas_sim::{Cycle, LineSpan, SpanResidency, TrafficClass};
-use loas_sparse::POINTER_BITS;
+use loas_sparse::{ones, POINTER_BITS};
 
 /// Typed configuration of the SparTen-SNN model (the paper's Section V
 /// parameters by default). Registered in the accelerator catalog as
@@ -233,12 +233,13 @@ impl SparTenSnn {
             let mut tile_work = 0u64;
             if kernel {
                 // Pure phase: the tile's total per-timestep match count in
-                // O(nnz_tile) — every fired (m, k, t) bit meets
-                // rowNNZ_B(k) columns.
+                // O(spikes_tile) — every fired (m, k, t) bit of the plane
+                // rows meets rowNNZ_B(k) columns.
+                let blocks = &layer.row_blocks;
                 let fired_tile: u64 = rows
                     .clone()
-                    .flat_map(|m| layer.a_fibers[m].iter())
-                    .map(|(k, word)| word.fire_count() as u64 * layer.b_row_nnz[k] as u64)
+                    .flat_map(|m| (0..shape.t).flat_map(move |t| ones(blocks.plane(m, t))))
+                    .map(|k| layer.b_row_nnz[k] as u64)
                     .sum();
                 // Traffic phase: the tag-accurate bm-B rounds replay in the
                 // original order through the precomputed spans + residency

@@ -123,7 +123,7 @@ impl Accelerator for Stellar {
             let rows = (tile * array.rows)..((tile + 1) * array.rows).min(shape.m);
             let tile_outputs = (rows.len() * shape.n) as u64;
             let k_eff = rows
-                .map(|m| layer.a_fibers[m].nnz() as u64)
+                .map(|m| layer.row_blocks.row_nnz(m) as u64)
                 .max()
                 .unwrap_or(0);
             // Every 16 outputs of the tile form one pass of depth k_eff

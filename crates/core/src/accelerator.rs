@@ -27,9 +27,11 @@
 //!
 //! [`Accelerator::run_layer_reference`] is the kept oracle: the
 //! pre-kernel scalar sweep plus the original per-access address
-//! arithmetic, through the same phase-2 replay code. Reports are
-//! byte-identical for both walks and any worker count (asserted via the
-//! portable serialization in this crate's tests).
+//! arithmetic, through the same phase-2 replay code. It derives its row
+//! masks and fibers from the spike tensor itself, never from
+//! [`RowBlocks`], so the A/B also covers the one-pass transpose. Reports
+//! are byte-identical for both walks and any worker count (asserted via
+//! the portable serialization in this crate's tests).
 //!
 //! # Traffic accounting (what the paper's Figs. 13-14 count)
 //!
@@ -61,7 +63,7 @@ use loas_sim::{
     TrafficClass,
 };
 use loas_snn::SpikeTensor;
-use loas_sparse::{Bitmask, PackedSpikes, POINTER_BITS};
+use loas_sparse::{Bitmask, SpikeFiber, POINTER_BITS};
 use std::borrow::Cow;
 
 /// The LoAS accelerator simulator.
@@ -186,10 +188,12 @@ impl Loas {
 
     /// The pre-kernel scalar sweep: fills the same per-tile results as
     /// [`PairSweepKernel::sweep_layer`] from per-pair [`Loas::pair_metrics`]
-    /// calls plus per-timestep plane `and_count`s, sequentially.
+    /// calls plus per-timestep plane `and_count`s, sequentially. Row masks
+    /// come straight from the spike tensor.
     fn reference_sweep(&self, layer: &PreparedLayer, mode: SweepMode) -> Vec<TileSweep> {
         let shape = layer.shape;
-        let planes = layer.workload.spikes.planes();
+        let spikes = &layer.workload.spikes;
+        let planes = spikes.planes();
         let tppes = self.config.tppes;
         let mut sweeps = Vec::with_capacity(shape.m.div_ceil(tppes.max(1)));
         let mut tile_start = 0usize;
@@ -203,10 +207,11 @@ impl Loas {
                 worst: vec![0u64; shape.n],
                 ..TileSweep::default()
             };
+            let masks: Vec<Bitmask> = rows.clone().map(|m| spikes.row_nonsilent_mask(m)).collect();
             for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
                 let mut worst = 0u64;
                 for (r, m) in rows.clone().enumerate() {
-                    let metrics = self.pair_metrics(layer.a_mask(m), fiber_b.bitmask());
+                    let metrics = self.pair_metrics(&masks[r], fiber_b.bitmask());
                     sweep.matches[n * row_count + r] = metrics.matches as u32;
                     sweep.matches_total += metrics.matches;
                     sweep.stall_total += metrics.stall_cycles;
@@ -277,11 +282,11 @@ impl<'a> TrafficProbes<'a> {
     }
 
     fn address(layer: &PreparedLayer, weight_bits: usize) -> Self {
-        // Address map for the tag-accurate cache: A fibers then B.
+        // Address map for the tag-accurate cache: A row fibers, then B.
         let shape = layer.shape;
         let mut a_addr = Vec::with_capacity(shape.m);
         let mut addr = 0u64;
-        for fiber in &layer.a_fibers {
+        for fiber in layer.workload.spikes.to_row_fibers() {
             a_addr.push(addr);
             addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
         }
@@ -495,10 +500,9 @@ impl Loas {
         } else {
             None
         };
-        // Scratch state reused across every verified pair and output row
-        // (no per-pair allocation churn on the bit-exact datapath).
+        // Join scratch reused across every verified pair (no per-pair
+        // allocation churn on the bit-exact datapath).
         let mut join_scratch = JoinScratch::new(shape.t);
-        let mut row_words_buf: Vec<PackedSpikes> = Vec::new();
 
         for sweep in &tile_sweeps {
             let rows = sweep.rows.clone();
@@ -513,6 +517,14 @@ impl Loas {
                 a_scatter.push(bm_bytes);
             }
             compute += crossbar.scatter_cycles(&a_scatter).get();
+            // The bit-exact datapath joins the tile's row fibers.
+            let a_fibers: Vec<SpikeFiber> = match verified_output {
+                Some(_) => rows
+                    .clone()
+                    .map(|m| layer.workload.spikes.row_fiber(m))
+                    .collect(),
+                None => Vec::new(),
+            };
 
             let mut prev_b_load = 0u64;
             for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
@@ -537,7 +549,7 @@ impl Loas {
 
                     if let Some(out) = verified_output.as_mut() {
                         let outcome = tppe.process_with(
-                            &layer.a_fibers[m],
+                            &a_fibers[r],
                             fiber_b,
                             layer.lif(),
                             &mut join_scratch,
@@ -575,17 +587,7 @@ impl Loas {
                 if let Some(out) = verified_output.as_ref() {
                     // Exercise the real compressor datapath (discard filter
                     // included) on the verified outputs.
-                    row_words_buf.clear();
-                    row_words_buf.extend((0..shape.n).map(|n| {
-                        let mut w = PackedSpikes::silent(shape.t).expect("t in range");
-                        for t in 0..shape.t {
-                            if out.get(m, n, t) {
-                                w.set(t, true);
-                            }
-                        }
-                        w
-                    }));
-                    let _ = compressor.compress_row(&row_words_buf);
+                    let _ = compressor.compress_row(&out.packed_row(m));
                 }
                 cache.write(TrafficClass::Output, out_row_bytes);
                 hbm.write(TrafficClass::Output, out_row_bytes);

@@ -85,10 +85,8 @@ pub fn compress_tensor(tensor: &SpikeTensor) -> (Vec<SpikeFiber>, CompressionRep
     let fibers = tensor.to_row_fibers();
     let stored_neurons: usize = fibers.iter().map(SpikeFiber::nnz).sum();
     let payload_bits = (stored_neurons * tensor.timesteps()) as u64;
-    let format_bits: u64 = fibers
-        .iter()
-        .map(|f| (f.bitmask().storage_bits() + POINTER_BITS) as u64)
-        .sum();
+    // Every row stores a K-bit bitmask plus a pointer, silent or not.
+    let format_bits = (tensor.m() * (tensor.k() + POINTER_BITS)) as u64;
     let csr_bits: u64 = tensor
         .planes()
         .iter()

@@ -134,11 +134,6 @@ impl LoasConfig {
         (self.bitmask_bits as u64).div_ceil(self.laggy_adders as u64)
     }
 
-    /// Bytes of one packed spike payload word (`T` bits rounded up).
-    pub fn packed_word_bits(&self) -> usize {
-        self.timesteps
-    }
-
     /// Absorbs every configuration field into a stable content hash, so
     /// memoization keys distinguish any two configurations that could
     /// simulate differently.

@@ -6,10 +6,13 @@
 //! path, with the sequential tag-accurate cache model. This module splits
 //! that work out as a **pure compute phase**:
 //!
-//! * [`RowBlocks`] — a structure-of-arrays layout of the `A`-side data:
-//!   per row, the non-silent bitmask words followed by the `T` per-timestep
-//!   plane-row words, contiguous, so one pair sweep is a single linear pass
-//!   with no bounds-checked `get(i).copied().unwrap_or(0)` lookups;
+//! * [`RowBlocks`] — the compressed `A` side of a prepared layer, a
+//!   structure-of-arrays layout: per row, the non-silent bitmask words
+//!   followed by the `T` per-timestep plane-row words, contiguous, so one
+//!   pair sweep is a single linear pass with no bounds-checked
+//!   `get(i).copied().unwrap_or(0)` lookups. It is built from the spike
+//!   planes in one word-copy pass ([`RowBlocks::from_spike_tensor`]); the
+//!   oracle walks read the spike tensor instead;
 //! * [`PairSweepKernel`] — for one fiber-B (words hoisted once), streams
 //!   all row pairs of a tile and produces per-pair match counts plus the
 //!   per-chunk stall/laggy bookkeeping of the inner-join cycle model;
@@ -34,6 +37,7 @@
 //! [`Loas::run_layer`]: crate::Loas
 //! [`SimStats`]: loas_sim::SimStats
 
+use loas_snn::SpikeTensor;
 use loas_sparse::{Bitmask, SpikeFiber};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,9 +58,44 @@ pub struct RowBlocks {
 }
 
 impl RowBlocks {
+    /// Builds the layout straight from the spike planes in one pass: each
+    /// plane row is a word copy of `A[m, ·, t]`, and the mask (the
+    /// non-silent bitmask of row `m`) is the OR of those copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tensor has more than [`MAX_TIMESTEPS`] timesteps.
+    pub fn from_spike_tensor(spikes: &SpikeTensor) -> Self {
+        let timesteps = spikes.timesteps();
+        assert!(
+            timesteps <= MAX_TIMESTEPS,
+            "timesteps {timesteps} exceed the packed-word limit {MAX_TIMESTEPS}"
+        );
+        let row_words = spikes.k().div_ceil(64);
+        let stride = row_words * (timesteps + 1);
+        let mut words = vec![0u64; spikes.m() * stride];
+        for m in 0..spikes.m() {
+            let (mask, planes) = words[m * stride..(m + 1) * stride].split_at_mut(row_words);
+            for (t, plane) in spikes.planes().iter().enumerate() {
+                let row = &mut planes[t * row_words..(t + 1) * row_words];
+                row.copy_from_slice(plane.row(m).words());
+                for (mask_word, &word) in mask.iter_mut().zip(row.iter()) {
+                    *mask_word |= word;
+                }
+            }
+        }
+        RowBlocks {
+            rows: spikes.m(),
+            row_words,
+            planes: timesteps,
+            words,
+        }
+    }
+
     /// Builds the layout from per-row spike fibers: the fiber's non-silent
     /// bitmask becomes the mask words, and the packed spike words are
-    /// scattered into `timesteps` plane rows.
+    /// scattered into `timesteps` plane rows. The reference the one-pass
+    /// [`RowBlocks::from_spike_tensor`] is tested against.
     ///
     /// # Panics
     ///
@@ -136,6 +175,11 @@ impl RowBlocks {
     pub fn mask(&self, m: usize) -> &[u64] {
         let base = m * self.stride();
         &self.words[base..base + self.row_words]
+    }
+
+    /// Non-silent neurons of row `m` (the popcount of its mask).
+    pub fn row_nnz(&self, m: usize) -> usize {
+        self.mask(m).iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Plane-row words of row `m` at timestep `t`.
@@ -488,6 +532,7 @@ pub fn fired_grand_total(col_spikes: &[u32], b_row_nnz: &[usize]) -> u64 {
 mod tests {
     use super::*;
     use loas_sparse::PackedSpikes;
+    use proptest::prelude::*;
 
     fn fiber(words: &[(usize, u16)], k: usize, t: usize) -> SpikeFiber {
         let mut row = vec![PackedSpikes::silent(t).unwrap(); k];
@@ -614,5 +659,37 @@ mod tests {
             }
         }
         assert_eq!(fired_grand_total(&col_spikes, &b_row_nnz), per_pair);
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_row_blocks_match_the_fiber_transpose(
+            dims in (1usize..=9, 0usize..=3, 1usize..64, 1usize..=MAX_TIMESTEPS),
+            seed in any::<u64>(),
+            density in 1u64..=8,
+        ) {
+            // K is never a multiple of 64, so every row has a partial tail
+            // word; rows whose seed bits are 00 stay all-silent.
+            let (m, k_words, k_tail, t) = dims;
+            let k = 64 * k_words + k_tail;
+            let mut state = seed | 1;
+            let mut spikes = SpikeTensor::zeros(m, k, t);
+            for row in (0..m).filter(|row| (seed >> (2 * row)) & 3 != 0) {
+                for col in 0..k {
+                    for step in 0..t {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        if state % 16 < density {
+                            spikes.set(row, col, step, true);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(
+                RowBlocks::from_spike_tensor(&spikes),
+                RowBlocks::from_spike_fibers(&spikes.to_row_fibers(), t)
+            );
+        }
     }
 }

@@ -4,11 +4,19 @@
 //! work; every model (LoAS and baselines) consumes the same
 //! [`PreparedLayer`] so that cross-accelerator comparisons see identical
 //! inputs.
+//!
+//! The `A` side is stored compressed exactly once, as [`RowBlocks`] (the
+//! LoAS format of Sec. IV-A: per row, the non-silent bitmask plus the
+//! packed spike words as `T` contiguous plane rows), built from the spike
+//! planes in one pass. Every other `A`-side fact (non-zero counts,
+//! compressed sizes, the traffic address map) is derived from it or from
+//! `workload.spikes`. The oracle walks read the spike tensor directly, so
+//! they stay independent of the `RowBlocks` transpose they check.
 
 use crate::kernel::RowBlocks;
 use loas_sim::LineSpan;
 use loas_snn::LifParams;
-use loas_sparse::{coordinate_bits, Bitmask, PackedSpikes, SpikeFiber, WeightFiber, POINTER_BITS};
+use loas_sparse::{coordinate_bits, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
 use std::borrow::Cow;
 
@@ -32,25 +40,21 @@ pub const DEFAULT_LINE_BYTES: usize = 64;
 /// from a precomputed `(first_line, intra-line offset)` base
 /// ([`TrafficSpans::a_payload_span`]).
 ///
-/// The address map matches the original replay exactly: `A` fibers laid
+/// The address map matches the original replay exactly: `A` rows laid
 /// out back to back (bitmask + pointer bytes, then packed payload), then
 /// `B` fibers (bitmask + pointer bytes, then weight payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TrafficSpans {
     /// Weight precision the `B` payload spans assume.
     pub weight_bits: usize,
     /// Cache-line size all spans assume.
     pub line_bytes: usize,
-    /// Bitmask + pointer bytes of one `A` row (uniform across rows).
-    pub a_bm_bytes: u64,
     /// Per-row span of the `bm-A` (+ pointer) load.
     pub a_bm_span: Vec<LineSpan>,
     /// Per-row first line of the packed payload region.
     pub a_payload_line: Vec<u64>,
     /// Per-row byte offset of the payload start within its first line.
     pub a_payload_intra: Vec<u64>,
-    /// Bitmask + pointer bytes of one `B` fiber (uniform across columns).
-    pub b_bm_bytes: u64,
     /// Per-column span of the `bm-B` (+ pointer) broadcast.
     pub b_bm_span: Vec<LineSpan>,
     /// Per-column span of the non-zero weight payload.
@@ -65,38 +69,25 @@ impl TrafficSpans {
     /// byte (asserted against the address-arithmetic formulas by the
     /// equivalence property tests).
     pub fn build(layer: &PreparedLayer, weight_bits: usize, line_bytes: usize) -> Self {
-        TrafficSpans::build_parts(
-            layer.shape,
-            &layer.a_fibers,
-            &layer.b_fibers,
-            weight_bits,
-            line_bytes,
-        )
-    }
-
-    fn build_parts(
-        shape: LayerShape,
-        a_fibers: &[SpikeFiber],
-        b_fibers: &[WeightFiber],
-        weight_bits: usize,
-        line_bytes: usize,
-    ) -> Self {
+        let shape = layer.shape;
         let bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
         let line = line_bytes as u64;
         let mut a_bm_span = Vec::with_capacity(shape.m);
         let mut a_payload_line = Vec::with_capacity(shape.m);
         let mut a_payload_intra = Vec::with_capacity(shape.m);
         let mut addr = 0u64;
-        for fiber in a_fibers {
+        for m in 0..shape.m {
             a_bm_span.push(LineSpan::of_range(addr, bm_bytes, line_bytes));
             let payload = addr + bm_bytes;
             a_payload_line.push(payload / line);
             a_payload_intra.push(payload % line);
-            addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
+            // A row fiber's storage: bitmask + pointer + T bits per word.
+            let row_bits = shape.k + POINTER_BITS + layer.row_blocks.row_nnz(m) * shape.t;
+            addr += row_bits.div_ceil(8) as u64;
         }
         let mut b_bm_span = Vec::with_capacity(shape.n);
         let mut b_payload_span = Vec::with_capacity(shape.n);
-        for fiber in b_fibers {
+        for fiber in &layer.b_fibers {
             b_bm_span.push(LineSpan::of_range(addr, bm_bytes, line_bytes));
             let payload_bytes = (fiber.nnz() * weight_bits).div_ceil(8) as u64;
             b_payload_span.push(LineSpan::of_range(
@@ -110,11 +101,9 @@ impl TrafficSpans {
         TrafficSpans {
             weight_bits,
             line_bytes,
-            a_bm_bytes: bm_bytes,
             a_bm_span,
             a_payload_line,
             a_payload_intra,
-            b_bm_bytes: bm_bytes,
             b_bm_span,
             b_payload_span,
             out_row_bytes: out_row_bits.div_ceil(8),
@@ -143,17 +132,15 @@ pub struct PreparedLayer {
     pub shape: LayerShape,
     /// The original workload (spike planes + dense weights + LIF).
     pub workload: LayerWorkload,
-    /// Per-row compressed spike fibers (LoAS format: non-silent bitmask +
-    /// packed words).
-    pub a_fibers: Vec<SpikeFiber>,
     /// Per-column compressed weight fibers.
     pub b_fibers: Vec<WeightFiber>,
     /// Per-row non-zero weight counts of `B` viewed row-wise (for OP/Gust
     /// models: `B`'s row `k`).
     pub b_row_nnz: Vec<usize>,
-    /// Structure-of-arrays sweep layout of the `A` side: per row, the
-    /// non-silent bitmask words followed by the `T` plane-row words,
-    /// contiguous (consumed by [`crate::kernel::PairSweepKernel`]).
+    /// The compressed `A` side (LoAS format) as a structure-of-arrays
+    /// sweep layout: per row, the non-silent bitmask words followed by the
+    /// `T` plane-row words, contiguous (consumed by
+    /// [`crate::kernel::PairSweepKernel`]).
     pub row_blocks: RowBlocks,
     /// Per-column total spike counts (`Σ_{m,t} A[m, k, t]`), the `A` half
     /// of the `O(K)` fired-count aggregate
@@ -169,39 +156,33 @@ impl PreparedLayer {
     /// Prepares all compressed views of a workload.
     pub fn new(workload: &LayerWorkload) -> Self {
         let shape = workload.shape;
-        let a_fibers = workload.spikes.to_row_fibers();
+        let row_blocks = RowBlocks::from_spike_tensor(&workload.spikes);
         let b_fibers: Vec<WeightFiber> = (0..shape.n)
             .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
             .collect();
-        let mut b_row_nnz = vec![0usize; shape.k];
-        for (ki, nnz) in b_row_nnz.iter_mut().enumerate() {
-            *nnz = workload.weights.row(ki).iter().filter(|&&w| w != 0).count();
-        }
-        let row_blocks = RowBlocks::from_spike_fibers(&a_fibers, shape.t);
+        let b_row_nnz = (0..shape.k)
+            .map(|k| workload.weights.row(k).iter().filter(|&&w| w != 0).count())
+            .collect();
         let mut col_spikes = vec![0u32; shape.k];
-        for fiber in &a_fibers {
-            for (k, word) in fiber.iter() {
-                col_spikes[k] += word.fire_count() as u32;
+        for plane in workload.spikes.planes() {
+            for row in plane.iter_rows() {
+                for k in row.iter_ones() {
+                    col_spikes[k] += 1;
+                }
             }
         }
-        let traffic_spans = TrafficSpans::build_parts(
-            shape,
-            &a_fibers,
-            &b_fibers,
-            DEFAULT_WEIGHT_BITS,
-            DEFAULT_LINE_BYTES,
-        );
-        PreparedLayer {
+        let mut layer = PreparedLayer {
             name: workload.name.clone(),
             shape,
             workload: workload.clone(),
-            a_fibers,
             b_fibers,
             b_row_nnz,
             row_blocks,
             col_spikes,
-            traffic_spans,
-        }
+            traffic_spans: TrafficSpans::default(),
+        };
+        layer.traffic_spans = TrafficSpans::build(&layer, DEFAULT_WEIGHT_BITS, DEFAULT_LINE_BYTES);
+        layer
     }
 
     /// The traffic-span table for a given accelerator geometry: the
@@ -222,14 +203,9 @@ impl PreparedLayer {
         self.workload.lif
     }
 
-    /// Non-silent bitmask of row `m` (the `bm-A` a TPPE holds).
-    pub fn a_mask(&self, m: usize) -> &Bitmask {
-        self.a_fibers[m].bitmask()
-    }
-
     /// Total non-silent neurons across all rows.
     pub fn a_nnz(&self) -> usize {
-        self.a_fibers.iter().map(SpikeFiber::nnz).sum()
+        (0..self.shape.m).map(|m| self.row_blocks.row_nnz(m)).sum()
     }
 
     /// Total non-zero weights.
@@ -237,20 +213,11 @@ impl PreparedLayer {
         self.b_fibers.iter().map(WeightFiber::nnz).sum()
     }
 
-    /// Total spikes across all timesteps.
-    pub fn spike_count(&self) -> usize {
-        self.workload.spikes.spike_count()
-    }
-
     /// Compressed size of `A` in LoAS format, split as
     /// `(payload_bits, format_bits)`: packed words vs bitmasks + pointers.
     pub fn a_compressed_bits(&self) -> (u64, u64) {
         let payload = (self.a_nnz() * self.shape.t) as u64;
-        let format = self
-            .a_fibers
-            .iter()
-            .map(|f| (f.bitmask().storage_bits() + POINTER_BITS) as u64)
-            .sum();
+        let format = (self.shape.m * (self.shape.k + POINTER_BITS)) as u64;
         (payload, format)
     }
 
@@ -258,11 +225,7 @@ impl PreparedLayer {
     /// `(payload_bits, format_bits)`.
     pub fn b_compressed_bits(&self, weight_bits: usize) -> (u64, u64) {
         let payload = (self.b_nnz() * weight_bits) as u64;
-        let format = self
-            .b_fibers
-            .iter()
-            .map(|f| (f.bitmask().storage_bits() + POINTER_BITS) as u64)
-            .sum();
+        let format = (self.shape.n * (self.shape.k + POINTER_BITS)) as u64;
         (payload, format)
     }
 
@@ -292,16 +255,6 @@ impl PreparedLayer {
             .sum();
         (0, format)
     }
-
-    /// Per-timestep spike row of `A` (`A[m, ·, t]` as a bitmask).
-    pub fn a_row_at(&self, m: usize, t: usize) -> &Bitmask {
-        self.workload.spikes.plane(t).row(m)
-    }
-
-    /// The packed word of neuron `(m, k)`.
-    pub fn a_word(&self, m: usize, k: usize) -> PackedSpikes {
-        self.workload.spikes.packed_word(m, k)
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +274,7 @@ mod tests {
     #[test]
     fn fiber_counts_match_shape() {
         let p = prepared();
-        assert_eq!(p.a_fibers.len(), 8);
+        assert_eq!(p.row_blocks.rows(), 8);
         assert_eq!(p.b_fibers.len(), 6);
         assert_eq!(p.b_row_nnz.len(), 64);
     }
@@ -395,28 +348,54 @@ mod tests {
         let p = prepared();
         assert_eq!(p.row_blocks.rows(), p.shape.m);
         assert_eq!(p.row_blocks.planes(), p.shape.t);
+        let spikes = &p.workload.spikes;
         for m in 0..p.shape.m {
-            assert_eq!(p.row_blocks.mask(m), p.a_mask(m).words());
+            assert_eq!(p.row_blocks.mask(m), spikes.row_nonsilent_mask(m).words());
             for t in 0..p.shape.t {
                 assert_eq!(
                     p.row_blocks.plane(m, t),
-                    p.a_row_at(m, t).words(),
+                    spikes.plane(t).row(m).words(),
                     "plane ({m}, {t})"
                 );
             }
         }
-        let total: u32 = p.col_spikes.iter().sum();
-        assert_eq!(total as usize, p.spike_count());
+        for k in 0..p.shape.k {
+            let column: usize = (0..p.shape.m)
+                .map(|m| spikes.packed_word(m, k).fire_count())
+                .sum();
+            assert_eq!(p.col_spikes[k] as usize, column, "column {k}");
+        }
     }
 
     #[test]
     fn a_word_matches_fiber_payload() {
+        // The packed words a LoAS row fiber stores, read back out of the
+        // plane rows of `RowBlocks`, and the derived A-side sizes.
         let p = prepared();
+        let mut format_bits = 0u64;
         for m in 0..p.shape.m {
-            for (k, word) in p.a_fibers[m].iter() {
-                assert_eq!(p.a_word(m, k), *word);
+            let fiber = p.workload.spikes.row_fiber(m);
+            assert_eq!(p.row_blocks.row_nnz(m), fiber.nnz());
+            for (k, word) in fiber.iter() {
                 assert!(!word.is_silent());
+                for t in 0..p.shape.t {
+                    let bit = p.row_blocks.plane(m, t)[k / 64] >> (k % 64) & 1;
+                    assert_eq!(bit == 1, word.fires_at(t), "word ({m}, {k}) at t={t}");
+                }
             }
+            format_bits += (fiber.bitmask().storage_bits() + POINTER_BITS) as u64;
         }
+        let nnz: usize = p
+            .workload
+            .spikes
+            .to_row_fibers()
+            .iter()
+            .map(|f| f.nnz())
+            .sum();
+        assert_eq!(p.a_nnz(), nnz);
+        assert_eq!(
+            p.a_compressed_bits(),
+            ((nnz * p.shape.t) as u64, format_bits)
+        );
     }
 }

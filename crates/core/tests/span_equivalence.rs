@@ -3,7 +3,8 @@
 //! non-default geometries) must agree with the original per-access
 //! address arithmetic formula by formula — and the span-driven kernel
 //! replay must produce byte-identical reports to the address-arithmetic
-//! reference oracle.
+//! reference oracle. The reference address map compresses the `A` rows
+//! from the spike tensor itself, independently of `RowBlocks`.
 
 use loas_core::{Accelerator, Loas, PreparedLayer, TrafficSpans};
 use loas_sim::LineSpan;
@@ -36,18 +37,16 @@ fn spans_by_address_arithmetic(
     let mut spans = TrafficSpans {
         weight_bits,
         line_bytes,
-        a_bm_bytes: bm_bytes,
         a_bm_span: Vec::new(),
         a_payload_line: Vec::new(),
         a_payload_intra: Vec::new(),
-        b_bm_bytes: bm_bytes,
         b_bm_span: Vec::new(),
         b_payload_span: Vec::new(),
         out_row_bytes: ((shape.n + POINTER_BITS) as u64 + (shape.n as u64 / 10) * shape.t as u64)
             .div_ceil(8),
     };
     let mut addr = 0u64;
-    for fiber in &layer.a_fibers {
+    for fiber in layer.workload.spikes.to_row_fibers() {
         spans.a_bm_span.push(manual_span(addr, bm_bytes));
         spans.a_payload_line.push((addr + bm_bytes) / line);
         spans.a_payload_intra.push((addr + bm_bytes) % line);
@@ -109,9 +108,9 @@ proptest! {
         );
         // Per-pair payload spans: the (base line, intra offset) form must
         // agree with direct range math at every length.
-        let a_bm = manual.a_bm_bytes;
+        let a_bm = (k + POINTER_BITS).div_ceil(8) as u64;
         let mut byte_addr = 0u64;
-        for (row, fiber) in layer.a_fibers.iter().enumerate() {
+        for (row, fiber) in layer.workload.spikes.to_row_fibers().iter().enumerate() {
             for payload_bytes in [0u64, 1, 7, 63, 64, 65, 300] {
                 prop_assert_eq!(
                     built.a_payload_span(row, payload_bytes),

@@ -52,9 +52,10 @@ pub trait ResultStore: Sync {
     /// decoding failure — a corrupt entry is a miss, never an error).
     fn load(&self, key: MemoKey) -> Option<LayerReport>;
 
-    /// Persists a freshly simulated report under `key`. Failures are
-    /// swallowed by implementations (memoization is an optimization; the
-    /// campaign result is already in hand).
+    /// Persists a freshly simulated report under `key`. Failures do not
+    /// propagate (memoization is an optimization; the campaign result is
+    /// already in hand); [`MemoStore`] counts them in
+    /// [`MemoStoreStats::store_errors`].
     fn store(&self, key: MemoKey, report: &LayerReport);
 }
 
@@ -67,6 +68,8 @@ pub struct MemoStoreStats {
     pub misses: usize,
     /// Reports written.
     pub stored: usize,
+    /// Writes that failed (temp-file write or rename); nothing persisted.
+    pub store_errors: usize,
 }
 
 /// The on-disk content-addressed result store: one file per [`MemoKey`]
@@ -83,6 +86,7 @@ pub struct MemoStore {
     hits: AtomicUsize,
     misses: AtomicUsize,
     stored: AtomicUsize,
+    store_errors: AtomicUsize,
 }
 
 impl MemoStore {
@@ -99,6 +103,7 @@ impl MemoStore {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
+            store_errors: AtomicUsize::new(0),
         })
     }
 
@@ -130,6 +135,7 @@ impl MemoStore {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stored: self.stored.load(Ordering::Relaxed),
+            store_errors: self.store_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -158,6 +164,7 @@ impl ResultStore for MemoStore {
         {
             self.stored.fetch_add(1, Ordering::Relaxed);
         } else {
+            self.store_errors.fetch_add(1, Ordering::Relaxed);
             let _ = std::fs::remove_file(&temp);
         }
     }
@@ -232,6 +239,17 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.stored), (1, 1, 1));
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn failed_writes_are_counted() {
+        let store = temp_store("store-error");
+        let key = job("w", AcceleratorSpec::loas()).memo_key();
+        std::fs::remove_dir_all(store.dir()).unwrap();
+        store.store(key, &report(7));
+        let stats = store.stats();
+        assert_eq!((stats.stored, stats.store_errors), (0, 1));
+        assert!(!store.dir().exists(), "no temp file left behind");
     }
 
     #[test]

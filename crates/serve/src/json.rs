@@ -6,6 +6,11 @@
 //! fractions as exact `f64` bit patterns (Rust's shortest-round-trip
 //! float formatting), which the content-hashed memo keys depend on.
 
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper documents
+/// are rejected instead of exhausting the stack (campaign specs nest 5
+/// levels).
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -29,11 +34,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -120,11 +126,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -187,22 +197,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let first = parse_hex4(bytes, *pos + 1)?;
+                        let mut code = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
-                        let code = if (0xD800..0xDC00).contains(&first) {
-                            // Surrogate pair: expect `\uXXXX` low half.
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let low = parse_hex4(bytes, *pos + 3)?;
-                                *pos += 6;
-                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                return Err("lone high surrogate".to_owned());
+                        if (0xD800..0xDC00).contains(&code) {
+                            // Surrogate pair: a `\uXXXX` low half must follow.
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
+                                _ => return Err("lone high surrogate".to_owned()),
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(format!("unpaired high surrogate at byte {pos}"));
                             }
-                        } else {
-                            first
-                        };
+                            *pos += 6;
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        }
                         out.push(
                             char::from_u32(code).ok_or_else(|| "bad unicode escape".to_owned())?,
                         );
@@ -215,28 +223,36 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte in string at {}", *pos))
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through verbatim).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run of plain characters up to the next quote,
+                // escape or control byte in one piece. Multi-byte UTF-8
+                // sequences contain none of those bytes, so the run ends
+                // on a char boundary of the input `&str`.
+                let rest = &bytes[*pos..];
+                let end = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..end])
                     .map_err(|_| "bad utf8 in string".to_owned())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos += end;
             }
         }
     }
 }
 
 fn parse_hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
-    if start + 4 > bytes.len() {
-        return Err("truncated unicode escape".to_owned());
-    }
-    let text = std::str::from_utf8(&bytes[start..start + 4])
-        .map_err(|_| "bad unicode escape".to_owned())?;
-    u32::from_str_radix(text, 16).map_err(|_| "bad unicode escape".to_owned())
+    let digits = bytes
+        .get(start..start + 4)
+        .ok_or("truncated unicode escape")?;
+    // Exactly four hex digits, no sign (which `from_str_radix` accepts).
+    digits.iter().try_fold(0, |code, &digit| {
+        let value = char::from(digit).to_digit(16).ok_or("bad unicode escape")?;
+        Ok(code * 16 + value)
+    })
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -245,7 +261,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -258,7 +274,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -271,7 +287,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -334,9 +350,42 @@ mod tests {
             "1 2",
             "\"unterminated",
             "{\"a\":}",
+            r#""\ud800\u0041""#,
+            r#""\ud800\uffff""#,
+            r#""\u+041""#,
         ] {
             assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // A million open brackets used to overflow the stack.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1.4 MB of mixed one-, two- and four-byte characters around an
+        // escape: re-validating the rest of the input per character (a
+        // quadratic parse) takes minutes here.
+        let body = "aé😀".repeat(100_000);
+        let doc = format!("[\"{body}\\n{body}\"]");
+        let parsed = Json::parse(&doc).unwrap();
+        let expected = format!("{body}\n{body}");
+        assert_eq!(
+            parsed.as_arr().unwrap()[0].as_str(),
+            Some(expected.as_str())
+        );
     }
 
     #[test]

@@ -249,11 +249,7 @@ impl Bitmask {
 
     /// Iterator over the positions of set bits, in ascending order.
     pub fn iter_ones(&self) -> Ones<'_> {
-        Ones {
-            mask: self,
-            word_index: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        ones(&self.words)
     }
 
     /// Iterator over all bits as booleans.
@@ -279,12 +275,24 @@ impl Bitmask {
     /// per bitmask chunk. Missing words (when the masks have different word
     /// counts) read as zero, and at least one chunk is always yielded, so a
     /// pair of empty masks still models one scan cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chunk_words` is zero.
     pub fn chunked_and_counts<'a>(
         &'a self,
         other: &'a Bitmask,
         chunk_words: usize,
     ) -> ChunkedAndCounts<'a> {
-        chunked_and_counts(&self.words, &other.words, chunk_words)
+        assert!(chunk_words > 0, "chunk width must be positive");
+        ChunkedAndCounts {
+            a: &self.words,
+            b: &other.words,
+            words: self.words.len().max(other.words.len()),
+            chunk_words,
+            pos: 0,
+            yielded: false,
+        }
     }
 
     /// Extracts bits `[start, start + width)` as a new bitmask. Bits past the
@@ -333,32 +341,8 @@ impl FromIterator<bool> for Bitmask {
     }
 }
 
-/// Per-chunk AND-popcounts over raw word slices (the slice-level form of
-/// [`Bitmask::chunked_and_counts`], used by hot kernels that keep their
-/// masks in structure-of-arrays layouts). Words past the end of either
-/// slice read as zero; at least one chunk is always yielded.
-///
-/// # Panics
-///
-/// Panics when `chunk_words` is zero.
-pub fn chunked_and_counts<'a>(
-    a: &'a [u64],
-    b: &'a [u64],
-    chunk_words: usize,
-) -> ChunkedAndCounts<'a> {
-    assert!(chunk_words > 0, "chunk width must be positive");
-    ChunkedAndCounts {
-        a,
-        b,
-        words: a.len().max(b.len()),
-        chunk_words,
-        pos: 0,
-        yielded: false,
-    }
-}
-
 /// Iterator over per-chunk AND-popcounts, produced by
-/// [`Bitmask::chunked_and_counts`] / [`chunked_and_counts`].
+/// [`Bitmask::chunked_and_counts`].
 #[derive(Debug, Clone)]
 pub struct ChunkedAndCounts<'a> {
     a: &'a [u64],
@@ -392,12 +376,27 @@ impl Iterator for ChunkedAndCounts<'_> {
     }
 }
 
-/// Iterator over set-bit positions of a [`Bitmask`], produced by
+/// Set-bit positions of raw bitmask words in ascending order (bit `i` of
+/// word `w` is position `64·w + i`): the slice-level form of
+/// [`Bitmask::iter_ones`], for structure-of-arrays layouts that keep
+/// masks as plain word slices.
+pub fn ones(words: &[u64]) -> Ones<'_> {
+    let mut words = words.iter();
+    let current = words.next().copied().unwrap_or(0);
+    Ones {
+        words,
+        base: 0,
+        current,
+    }
+}
+
+/// Iterator over set-bit positions, produced by [`ones`] and
 /// [`Bitmask::iter_ones`].
 #[derive(Debug, Clone)]
 pub struct Ones<'a> {
-    mask: &'a Bitmask,
-    word_index: usize,
+    words: std::slice::Iter<'a, u64>,
+    /// Position of bit 0 of `current`.
+    base: usize,
     current: u64,
 }
 
@@ -405,18 +404,13 @@ impl Iterator for Ones<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.word_index * WORD_BITS + bit);
-            }
-            self.word_index += 1;
-            if self.word_index >= self.mask.words.len() {
-                return None;
-            }
-            self.current = self.mask.words[self.word_index];
+        while self.current == 0 {
+            self.current = *self.words.next()?;
+            self.base += WORD_BITS;
         }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -557,8 +551,12 @@ mod tests {
 
     #[test]
     fn chunked_and_counts_pads_shorter_slice() {
-        // Raw-slice form with unequal lengths: missing words read as zero.
-        let counts: Vec<u64> = chunked_and_counts(&[u64::MAX, u64::MAX, 1], &[0b1011], 2).collect();
+        // Masks of unequal word counts: missing words read as zero.
+        let all: Vec<usize> = (0..129).collect();
+        let a = Bitmask::from_indices(129, &all).unwrap();
+        assert_eq!(a.words(), &[u64::MAX, u64::MAX, 1]);
+        let b = Bitmask::from_indices(4, &[0, 1, 3]).unwrap();
+        let counts: Vec<u64> = a.chunked_and_counts(&b, 2).collect();
         assert_eq!(counts, vec![3, 0]);
     }
 

@@ -48,7 +48,7 @@ mod packed;
 pub mod prefix_sum;
 pub mod spmspm;
 
-pub use bitmask::{chunked_and_counts, Bitmask, ChunkedAndCounts, Ones};
+pub use bitmask::{ones, Bitmask, ChunkedAndCounts, Ones};
 pub use csr::{coordinate_bits, CscMatrix, CsrMatrix};
 pub use error::SparseError;
 pub use fiber::{Fiber, SpikeFiber, WeightFiber, POINTER_BITS};

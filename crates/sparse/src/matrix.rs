@@ -120,11 +120,6 @@ impl<T> DenseMatrix<T> {
         (0..self.rows).map(|r| self.get(r, c).clone()).collect()
     }
 
-    /// All elements in row-major order.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
     /// Number of elements for which `is_zero` is false.
     pub fn nnz(&self, is_zero: impl Fn(&T) -> bool) -> usize {
         self.data.iter().filter(|v| !is_zero(v)).count()
