@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: formatting, lints on the engine, serve, core,
-# baselines, snn and sparse crates, release build, the full workspace
+# baselines, snn, sparse, workloads and sim crates, release build, the full workspace
 # test suite (tier-1 verify is those two steps; the suite includes the
 # committed golden-v1-spec memo-key assertions and the v2 spec
 # round-trip property test), an end-to-end loas-serve smoke test
@@ -22,8 +22,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (engine, serve, core, baselines, snn, sparse; deny warnings)"
-cargo clippy -p loas-engine -p loas-serve -p loas-core -p loas-baselines -p loas-snn -p loas-sparse --all-targets -- -D warnings
+echo "== cargo clippy (engine, serve, core, baselines, snn, sparse, workloads, sim; deny warnings)"
+cargo clippy -p loas-engine -p loas-serve -p loas-core -p loas-baselines -p loas-snn -p loas-sparse -p loas-workloads -p loas-sim --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release

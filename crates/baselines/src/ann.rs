@@ -38,9 +38,7 @@ impl AnnPrepared {
             .map(|m| Bitmask::from_bools(workload.activations.row(m).iter().map(|&v| v != 0)))
             .collect();
         let a_nnz = a_row_masks.iter().map(Bitmask::popcount).sum();
-        let b_fibers = (0..shape.n)
-            .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
-            .collect();
+        let b_fibers = WeightFiber::columns(&workload.weights);
         let b_row_nnz = (0..shape.k)
             .map(|k| workload.weights.row(k).iter().filter(|&&w| w != 0).count())
             .collect();

@@ -698,8 +698,7 @@ mod tests {
     #[test]
     fn ft_mode_reduces_or_preserves_cycles() {
         let layer = small_layer();
-        let ft_workload = layer.workload.with_preprocessing();
-        let ft_layer = PreparedLayer::new(&ft_workload);
+        let ft_layer = layer.fine_tuned();
         let base = Loas::default().run_layer(&layer);
         let ft = Loas::new(
             LoasConfig::builder()

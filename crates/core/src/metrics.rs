@@ -2,7 +2,7 @@
 //! interface.
 
 use crate::prepared::PreparedLayer;
-use loas_sim::{Cycle, EnergyBreakdown, SimStats};
+use loas_sim::{Cycle, EnergyBreakdown, SimStats, TrafficClass};
 use loas_snn::SpikeTensor;
 
 /// The result of simulating one layer on one accelerator.
@@ -39,6 +39,36 @@ impl LayerReport {
     pub fn energy_gain_over(&self, baseline: &LayerReport) -> f64 {
         let own = self.energy.total_pj().max(1e-12);
         baseline.energy.total_pj() / own
+    }
+
+    /// Cheap physical sanity checks every simulated report must pass:
+    /// cache hits plus misses equal the accesses, stall cycles fit inside
+    /// the cycle count, the reported DRAM classes (weight, input, psum,
+    /// output, format) sum to the DRAM total, and the cache miss rate lies
+    /// in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated invariant, naming the accelerator.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let stats = &self.stats;
+        let cache = &stats.cache;
+        let counted =
+            matches!(cache.hits.checked_add(cache.misses), Some(sum) if sum == cache.accesses());
+        let violation = if !counted {
+            "cache hits + misses != accesses".to_owned()
+        } else if stats.cycles.get() < stats.stall_cycles.get() {
+            "stall cycles exceed cycles".to_owned()
+        } else if stats.dram.get(TrafficClass::Other) != 0 {
+            // The total sums every class, so the reported ones sum to it
+            // exactly when no bytes fall outside them.
+            "DRAM classes do not sum to the total".to_owned()
+        } else if !(0.0..=1.0).contains(&cache.miss_rate()) {
+            format!("miss rate {} outside [0, 1]", cache.miss_rate())
+        } else {
+            return Ok(());
+        };
+        Err(format!("{}: {violation}", self.accelerator))
     }
 }
 
@@ -186,6 +216,29 @@ mod tests {
         let slow = report(400, 35.0);
         assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-12);
         assert!((fast.energy_gain_over(&slow) - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn check_invariants_flags_each_violation() {
+        let mut ok = report(100, 1.0);
+        ok.stats.stall_cycles = Cycle(100);
+        ok.stats.dram.record(TrafficClass::Weight, 64);
+        ok.stats.cache.hits = 3;
+        ok.stats.cache.misses = 1;
+        assert_eq!(ok.check_invariants(), Ok(()));
+
+        let mut stalled = ok.clone();
+        stalled.stats.stall_cycles = Cycle(101);
+        let error = stalled.check_invariants().unwrap_err();
+        assert!(error.starts_with("a: stall cycles"), "{error}");
+
+        let mut unclassified = ok.clone();
+        unclassified.stats.dram.record(TrafficClass::Other, 8);
+        assert!(unclassified.check_invariants().is_err());
+
+        let mut overflowing = ok;
+        overflowing.stats.cache.hits = u64::MAX;
+        assert!(overflowing.check_invariants().is_err());
     }
 
     #[test]

@@ -155,14 +155,40 @@ pub struct PreparedLayer {
 impl PreparedLayer {
     /// Prepares all compressed views of a workload.
     pub fn new(workload: &LayerWorkload) -> Self {
-        let shape = workload.shape;
-        let row_blocks = RowBlocks::from_spike_tensor(&workload.spikes);
-        let b_fibers: Vec<WeightFiber> = (0..shape.n)
-            .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
-            .collect();
-        let b_row_nnz = (0..shape.k)
+        let b_row_nnz = (0..workload.shape.k)
             .map(|k| workload.weights.row(k).iter().filter(|&&w| w != 0).count())
             .collect();
+        PreparedLayer::with_weight_views(
+            workload.clone(),
+            WeightFiber::columns(&workload.weights),
+            b_row_nnz,
+        )
+    }
+
+    /// The fine-tuned variant of this layer (Section V): the workload with
+    /// every neuron firing at most once masked silent
+    /// ([`LayerWorkload::with_preprocessing`]). Masking leaves the weights
+    /// unchanged, so the `B` views are this layer's, cloned; only the
+    /// spike-dependent views are rebuilt. Equal, view for view, to
+    /// `PreparedLayer::new(&self.workload.with_preprocessing())`.
+    pub fn fine_tuned(&self) -> PreparedLayer {
+        PreparedLayer::with_weight_views(
+            self.workload.with_preprocessing(),
+            self.b_fibers.clone(),
+            self.b_row_nnz.clone(),
+        )
+    }
+
+    /// Assembles a prepared layer from its workload and already built `B`
+    /// views, building the spike-dependent views (`row_blocks`,
+    /// `col_spikes`, `traffic_spans`).
+    fn with_weight_views(
+        workload: LayerWorkload,
+        b_fibers: Vec<WeightFiber>,
+        b_row_nnz: Vec<usize>,
+    ) -> Self {
+        let shape = workload.shape;
+        let row_blocks = RowBlocks::from_spike_tensor(&workload.spikes);
         let mut col_spikes = vec![0u32; shape.k];
         for plane in workload.spikes.planes() {
             for row in plane.iter_rows() {
@@ -174,7 +200,7 @@ impl PreparedLayer {
         let mut layer = PreparedLayer {
             name: workload.name.clone(),
             shape,
-            workload: workload.clone(),
+            workload,
             b_fibers,
             b_row_nnz,
             row_blocks,
@@ -261,6 +287,7 @@ impl PreparedLayer {
 mod tests {
     use super::*;
     use loas_workloads::{SparsityProfile, WorkloadGenerator};
+    use proptest::prelude::*;
 
     fn prepared() -> PreparedLayer {
         let generator = WorkloadGenerator::default();
@@ -277,6 +304,32 @@ mod tests {
         assert_eq!(p.row_blocks.rows(), 8);
         assert_eq!(p.b_fibers.len(), 6);
         assert_eq!(p.b_row_nnz.len(), 64);
+    }
+
+    proptest! {
+        #[test]
+        fn fine_tuned_matches_preparing_the_masked_workload(
+            dims in (1usize..=9, 1usize..=6, 1usize..=200),
+            t_index in 0usize..2,
+            seed in any::<u64>(),
+        ) {
+            let (m, n, k) = dims;
+            let t = [4, 8][t_index];
+            let profile = SparsityProfile::from_percentages(75.0, 60.0, 70.0, 90.0).unwrap();
+            let w = WorkloadGenerator::new(seed)
+                .generate("ft", LayerShape::new(t, m, n, k), &profile)
+                .unwrap();
+            let derived = PreparedLayer::new(&w).fine_tuned();
+            let prepared = PreparedLayer::new(&w.with_preprocessing());
+            prop_assert_eq!(&derived.name, &prepared.name);
+            prop_assert_eq!(derived.shape, prepared.shape);
+            prop_assert_eq!(&derived.workload, &prepared.workload);
+            prop_assert_eq!(&derived.b_fibers, &prepared.b_fibers);
+            prop_assert_eq!(&derived.b_row_nnz, &prepared.b_row_nnz);
+            prop_assert_eq!(&derived.row_blocks, &prepared.row_blocks);
+            prop_assert_eq!(&derived.col_spikes, &prepared.col_spikes);
+            prop_assert_eq!(&derived.traffic_spans, &prepared.traffic_spans);
+        }
     }
 
     #[test]

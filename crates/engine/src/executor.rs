@@ -158,9 +158,11 @@ impl Engine {
     /// Generates every spec whose key is not yet resident, each exactly
     /// once, sharded across the worker pool. Runs in two waves: plain
     /// workloads generate first (plus the bases of any missing fine-tuned
-    /// specs), then fine-tuned variants derive from their cached base by
-    /// masking — so a campaign running both LoAS and LoAS(FT) on a layer
-    /// pays for one generation, not two.
+    /// specs), then fine-tuned variants derive from their cached base with
+    /// [`PreparedLayer::fine_tuned`], which masks the spikes and reuses the
+    /// base's weight views — so a campaign running both LoAS and LoAS(FT)
+    /// on a layer pays for one generation and one weight compression, not
+    /// two.
     fn prepare_missing(&self, specs: &[WorkloadSpec]) -> Result<(), EngineError> {
         let mut seen = std::collections::HashSet::new();
         let missing: Vec<&WorkloadSpec> = specs
@@ -191,7 +193,7 @@ impl Engine {
             // cap smaller than the wave it may already be evicted, in which
             // case the derived spec regenerates standalone.
             match self.cache.peek(&spec.base().key()) {
-                Some(base) => Ok(spec.prepare_from_base(&base)),
+                Some(base) => Ok(base.fine_tuned()),
                 None => spec.prepare(),
             }
         })

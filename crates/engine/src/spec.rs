@@ -144,8 +144,9 @@ impl WorkloadSpec {
     }
 
     /// The non-fine-tuned spec this one derives from (`self` when already
-    /// plain). Fine-tuned preparations are cheap maskings of their base
-    /// workload, so the executor generates the base once and derives.
+    /// plain). A fine-tuned preparation is a masking of its base
+    /// preparation ([`PreparedLayer::fine_tuned`]), so the executor
+    /// prepares the base once and derives.
     pub fn base(&self) -> WorkloadSpec {
         let mut base = self.clone();
         base.fine_tuned = false;
@@ -153,7 +154,8 @@ impl WorkloadSpec {
     }
 
     /// Generates and prepares the workload (the expensive operation the
-    /// engine's cache exists to amortize).
+    /// engine's cache exists to amortize). A fine-tuned spec prepares its
+    /// base and derives from it with [`PreparedLayer::fine_tuned`].
     ///
     /// # Errors
     ///
@@ -162,20 +164,12 @@ impl WorkloadSpec {
     pub fn prepare(&self) -> Result<PreparedLayer, WorkloadError> {
         let generator = WorkloadGenerator::new(self.seed);
         let workload = generator.generate(&self.name, self.shape, &self.profile)?;
-        let workload = if self.fine_tuned {
-            workload.with_preprocessing()
+        let base = PreparedLayer::new(&workload);
+        Ok(if self.fine_tuned {
+            base.fine_tuned()
         } else {
-            workload
-        };
-        Ok(PreparedLayer::new(&workload))
-    }
-
-    /// Prepares the fine-tuned variant from an already generated base
-    /// preparation, skipping regeneration (the base must come from
-    /// [`WorkloadSpec::base`] of this spec).
-    pub fn prepare_from_base(&self, base: &PreparedLayer) -> PreparedLayer {
-        debug_assert!(self.fine_tuned, "only fine-tuned specs derive from a base");
-        PreparedLayer::new(&base.workload.with_preprocessing())
+            base
+        })
     }
 }
 

@@ -83,6 +83,11 @@ fn reports_are_byte_identical_across_worker_counts() {
     assert!(!reference.is_empty());
     assert_eq!(reference, parallel.jsonl(), "1 vs 4 workers diverged");
     assert_eq!(reference, wide.jsonl(), "1 vs 13 workers diverged");
+    for record in &serial.records {
+        if let Err(violation) = record.report.check_invariants() {
+            panic!("job {} (`{}`): {violation}", record.job, record.label);
+        }
+    }
     // Network grouping and summaries derive from the same records; spot
     // check cycles line up job by job.
     for (a, b) in serial.records.iter().zip(&parallel.records) {

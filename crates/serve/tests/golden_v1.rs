@@ -91,12 +91,15 @@ fn golden_v1_campaign_replays_byte_identically_on_the_oracle_walks() {
             .or_insert_with(|| base_spec.prepare().expect("golden profiles are feasible"));
         let fine_tuned;
         let layer = if job.workload.fine_tuned {
-            fine_tuned = job.workload.prepare_from_base(base);
+            fine_tuned = base.fine_tuned();
             &fine_tuned
         } else {
             &*base
         };
         let report = job.accelerator.build().run_layer_reference(layer);
+        if let Err(violation) = report.check_invariants() {
+            panic!("job {index} (`{}`): {violation}", job.label);
+        }
         let record = JobRecord {
             job: index,
             label: job.label.clone(),

@@ -95,7 +95,7 @@ impl SnnLayer {
 
     /// All weight fibers in column order.
     pub fn weight_fibers(&self) -> Vec<WeightFiber> {
-        (0..self.n()).map(|n| self.weight_fiber(n)).collect()
+        WeightFiber::columns(&self.weights)
     }
 
     /// Golden forward pass: spMspM (Eq. 1) then LIF scan (Eqs. 2-3).

@@ -34,13 +34,27 @@ use crate::tensor::SpikeTensor;
 /// ```
 pub fn mask_low_activity(tensor: &SpikeTensor, max_fires: usize) -> SpikeTensor {
     let mut out = tensor.clone();
+    let row_words = tensor.k().div_ceil(64);
+    // A bit-sliced counter per 64-neuron word: level `j` of `at_least`
+    // marks the neurons that fired at least `j + 1` times so far. A neuron
+    // is kept when it reaches level `max_fires`, i.e. fires more than
+    // `max_fires` times; past `T` fires nothing is kept, so `T + 1` levels
+    // suffice.
+    let levels = max_fires.min(tensor.timesteps()) + 1;
+    let mut at_least = vec![0u64; levels * row_words];
     for m in 0..tensor.m() {
-        for k in 0..tensor.k() {
-            if tensor.packed_word(m, k).fire_count() <= max_fires {
-                for t in 0..tensor.timesteps() {
-                    out.set(m, k, t, false);
+        at_least.fill(0);
+        for plane in tensor.planes() {
+            for (w, &fired) in plane.row(m).words().iter().enumerate() {
+                for j in (1..levels).rev() {
+                    at_least[j * row_words + w] |= at_least[(j - 1) * row_words + w] & fired;
                 }
+                at_least[w] |= fired;
             }
+        }
+        let keep = &at_least[(levels - 1) * row_words..];
+        for t in 0..tensor.timesteps() {
+            out.plane_mut(t).row_mut(m).and_words(keep);
         }
     }
     out
@@ -104,6 +118,57 @@ impl FineTuneAccuracyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-neuron reference: a neuron's spikes are cleared when its
+    /// packed word fires at most `max_fires` times.
+    fn mask_per_neuron(tensor: &SpikeTensor, max_fires: usize) -> SpikeTensor {
+        let mut out = tensor.clone();
+        for m in 0..tensor.m() {
+            for k in 0..tensor.k() {
+                if tensor.packed_word(m, k).fire_count() <= max_fires {
+                    for t in 0..tensor.timesteps() {
+                        out.set(m, k, t, false);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn word_parallel_mask_matches_the_per_neuron_mask(
+            dims in (1usize..=9, 0usize..=3, 1usize..64, 1usize..=16),
+            seed in any::<u64>(),
+            density in 1u64..=15,
+            threshold in 0usize..4,
+        ) {
+            // K is never a multiple of 64, so every row has a partial tail
+            // word; max_fires is 0, 1, 2 or T.
+            let (m, k_words, k_tail, t) = dims;
+            let k = 64 * k_words + k_tail;
+            let max_fires = [0, 1, 2, t][threshold];
+            let mut state = seed | 1;
+            let mut spikes = SpikeTensor::zeros(m, k, t);
+            for row in 0..m {
+                for col in 0..k {
+                    for step in 0..t {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        if state % 16 < density {
+                            spikes.set(row, col, step, true);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(
+                mask_low_activity(&spikes, max_fires),
+                mask_per_neuron(&spikes, max_fires)
+            );
+        }
+    }
 
     #[test]
     fn masking_increases_silent_fraction() {

@@ -167,6 +167,21 @@ impl SpikeTensor {
         &self.planes[t]
     }
 
+    /// Mutable spike plane of timestep `t`, for in-place word operations on
+    /// its rows. The plane keeps its `M × K` shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t >= T`.
+    pub(crate) fn plane_mut(&mut self, t: usize) -> &mut BitMatrix {
+        assert!(
+            t < self.timesteps,
+            "timestep {t} out of range {}",
+            self.timesteps
+        );
+        &mut self.planes[t]
+    }
+
     /// All planes in timestep order.
     pub fn planes(&self) -> &[BitMatrix] {
         &self.planes

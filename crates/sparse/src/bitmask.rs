@@ -182,6 +182,24 @@ impl Bitmask {
             .sum())
     }
 
+    /// ANDs the mask in place with `mask`, one word at a time (`mask` uses
+    /// the same little-endian layout as [`Bitmask::words`]). An AND only
+    /// clears bits, so the tail past `len` stays clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mask` has a different number of words.
+    pub fn and_words(&mut self, mask: &[u64]) {
+        assert_eq!(
+            mask.len(),
+            self.words.len(),
+            "word-wise AND needs equal word counts"
+        );
+        for (word, &keep) in self.words.iter_mut().zip(mask) {
+            *word &= keep;
+        }
+    }
+
     /// Bitwise OR of two equal-length masks.
     ///
     /// # Errors
@@ -467,6 +485,17 @@ mod tests {
         let anded = a.and(&b).unwrap();
         assert_eq!(anded.popcount(), a.and_count(&b).unwrap());
         assert_eq!(anded.iter_ones().collect::<Vec<_>>(), vec![5, 64, 127]);
+    }
+
+    #[test]
+    fn and_words_matches_and_and_keeps_the_tail_clear() {
+        let mut a = Bitmask::ones(70);
+        let b = Bitmask::from_indices(70, &[0, 63, 64, 69]).unwrap();
+        let expected = a.and(&b).unwrap();
+        a.and_words(&[u64::MAX, u64::MAX]);
+        assert_eq!(a, Bitmask::ones(70), "all-ones words keep the tail clear");
+        a.and_words(b.words());
+        assert_eq!(a, expected);
     }
 
     #[test]

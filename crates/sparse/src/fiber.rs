@@ -9,6 +9,7 @@
 
 use crate::bitmask::Bitmask;
 use crate::error::SparseError;
+use crate::matrix::DenseMatrix;
 use crate::packed::PackedSpikes;
 
 /// Bits used for the pointer field stored after each bitmask in the global
@@ -169,11 +170,36 @@ impl WeightFiber {
     pub fn from_weights(dense: &[i8]) -> Self {
         Fiber::from_dense(dense, |w| *w == 0)
     }
+
+    /// Compresses every column of a `K × N` weight matrix (the `N` `fiber-B`
+    /// columns) in one row-major pass over it: row `k`'s non-zeros set bit
+    /// `k` of their column's mask and append to its payload, so the
+    /// payloads come out in coordinate order without a column copy.
+    pub fn columns(weights: &DenseMatrix<i8>) -> Vec<WeightFiber> {
+        let mut masks = vec![Bitmask::zeros(weights.rows()); weights.cols()];
+        let mut values: Vec<Vec<i8>> = vec![Vec::new(); weights.cols()];
+        for k in 0..weights.rows() {
+            for (n, &w) in weights.row(k).iter().enumerate() {
+                if w != 0 {
+                    masks[n].set(k, true);
+                    values[n].push(w);
+                }
+            }
+        }
+        masks
+            .into_iter()
+            .zip(values)
+            .map(|(mask, values)| {
+                Fiber::from_parts(mask, values).expect("one payload value per mask bit")
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn from_dense_and_value_at() {
@@ -184,6 +210,37 @@ mod tests {
         assert_eq!(fiber.value_at(5), Some(&2));
         assert_eq!(fiber.value_at(0), None);
         assert_eq!(fiber.value_at(99), None);
+    }
+
+    proptest! {
+        #[test]
+        fn columns_match_per_column_compression(
+            dims in (0usize..=140, 0usize..=9),
+            seed in any::<u64>(),
+            density in 0u64..=16,
+        ) {
+            // K spans zero, partial and multi-word masks; density 0 and 16
+            // give all-zero and all-non-zero matrices.
+            let (k, n) = dims;
+            let mut state = seed | 1;
+            let data = (0..k * n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 16 < density {
+                        (state >> 8) as i8 | 1
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let weights = DenseMatrix::from_vec(k, n, data).unwrap();
+            let expected: Vec<WeightFiber> = (0..n)
+                .map(|c| WeightFiber::from_weights(&weights.column(c)))
+                .collect();
+            prop_assert_eq!(WeightFiber::columns(&weights), expected);
+        }
     }
 
     #[test]

@@ -218,6 +218,17 @@ impl BitMatrix {
         &self.row_masks[r]
     }
 
+    /// Mutable row `r`, for in-place word operations such as
+    /// [`Bitmask::and_words`]. The row must keep its `cols` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r >= rows`.
+    pub fn row_mut(&mut self, r: usize) -> &mut Bitmask {
+        assert!(r < self.rows, "row {r} out of range {}", self.rows);
+        &mut self.row_masks[r]
+    }
+
     /// Column `c` collected into a bitmask of length `rows`.
     ///
     /// # Panics

@@ -20,10 +20,8 @@ fn run_networks() -> Vec<(NetworkReport, NetworkReport, NetworkReport, NetworkRe
                 .iter()
                 .map(PreparedLayer::new)
                 .collect();
-            let ft_layers: Vec<PreparedLayer> = layers
-                .iter()
-                .map(|l| PreparedLayer::new(&l.workload.with_preprocessing()))
-                .collect();
+            let ft_layers: Vec<PreparedLayer> =
+                layers.iter().map(PreparedLayer::fine_tuned).collect();
             let mut loas_ft = Loas::new(
                 LoasConfig::builder()
                     .discard_low_activity_outputs(true)

@@ -73,8 +73,9 @@ proptest! {
         let generator = WorkloadGenerator::new(seed);
         let shape = LayerShape::new(4, 16, 8, 128);
         let w = generator.generate("prop-ft", shape, &profile).unwrap();
-        let base = Loas::default().run_layer(&PreparedLayer::new(&w));
-        let ft = Loas::default().run_layer(&PreparedLayer::new(&w.with_preprocessing()));
+        let layer = PreparedLayer::new(&w);
+        let base = Loas::default().run_layer(&layer);
+        let ft = Loas::default().run_layer(&layer.fine_tuned());
         // Work is strictly monotone; traffic and cycles are monotone up to
         // cache-line alignment noise (masking shifts the fiber address map
         // by a few lines).
