@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints on the engine, serve, core,
-# baselines, snn, sparse, workloads and sim crates, release build, the full workspace
+# CI entry point: formatting, lints on every workspace target (crates,
+# tests, benches, examples), release build, the full workspace
 # test suite (tier-1 verify is those two steps; the suite includes the
 # committed golden-v1-spec memo-key assertions and the v2 spec
-# round-trip property test), an end-to-end loas-serve smoke test
+# round-trip property test), the perfbench package's tests (they compile
+# against the public API perfbench uses), an end-to-end loas-serve smoke test
 # (enqueue -> run two shard processes -> merge -> verify byte-identical
 # to a single-process run -> warm-store replay with zero simulations), a
 # v1-vs-v2 spec A/B against the committed pre-redesign report, a served
@@ -22,14 +23,17 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (engine, serve, core, baselines, snn, sparse, workloads, sim; deny warnings)"
-cargo clippy -p loas-engine -p loas-serve -p loas-core -p loas-baselines -p loas-snn -p loas-sparse -p loas-workloads -p loas-sim --all-targets -- -D warnings
+echo "== cargo clippy (whole workspace, all targets; deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release
 
 echo "== cargo test -q"
 cargo test -q
+
+echo "== perfbench tests (the benchmark's use of the public API)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== loas-serve smoke test (2 shard processes vs 1 process, then warm replay)"
 SERVE=target/release/loas-serve

@@ -135,6 +135,7 @@ mod tests {
         run(&mut ctx);
         let stats = ctx.engine().cache_stats();
         assert_eq!(stats.generated, 3, "one preparation per selected layer");
-        assert!(stats.hits >= 12, "all 12 jobs resolve through the cache");
+        // Each layer's first job prepares it; the other nine jobs hit.
+        assert_eq!(stats.hits + stats.generated, 12, "{stats:?}");
     }
 }

@@ -18,9 +18,9 @@
 //! fiber-B words hoisted), optionally fanned out across row tiles on
 //! scoped worker threads. The **sequential traffic phase** then replays
 //! the per-pair counts through the HBM/SRAM/crossbar models in the exact
-//! pre-kernel order. The replay consumes the layer's precomputed
-//! [`TrafficSpans`] — fixed cache-line spans per row/column object, no
-//! per-pair address arithmetic — and carries
+//! pre-kernel order. The replay builds the layer's [`TrafficSpans`] once
+//! per run — fixed cache-line spans per row/column object, no per-pair
+//! address arithmetic — and carries
 //! [`SpanResidency`](loas_sim::SpanResidency) tokens on the per-column
 //! fiber-B broadcasts so re-touching a still-resident fiber takes the
 //! cache's all-hits fast path.
@@ -64,7 +64,6 @@ use loas_sim::{
 };
 use loas_snn::SpikeTensor;
 use loas_sparse::{Bitmask, SpikeFiber, POINTER_BITS};
-use std::borrow::Cow;
 
 /// The LoAS accelerator simulator.
 ///
@@ -248,17 +247,17 @@ struct PairMetrics {
 
 /// The tag-accurate probe endpoints of the sequential traffic replay.
 ///
-/// `run_layer` drives the cache through the layer's precomputed
-/// [`TrafficSpans`] — no per-access address arithmetic, and
+/// `run_layer` drives the cache through [`TrafficSpans`] built for its
+/// geometry when the run starts — no per-access address arithmetic, and
 /// [`SpanResidency`] tokens on the per-column fiber-B objects so the
 /// re-broadcast of a still-resident fiber to the next row tile takes the
 /// all-hits fast path. The oracle walk keeps the original address map and
 /// per-access `access_range`/`probe_range` arithmetic. Both variants
 /// touch the same lines in the same order, so reports are byte-identical
 /// (asserted in tests).
-enum TrafficProbes<'a> {
+enum TrafficProbes {
     Spans {
-        spans: Cow<'a, TrafficSpans>,
+        spans: TrafficSpans,
         a_payload_residency: Vec<SpanResidency>,
         b_bm_residency: Vec<SpanResidency>,
         b_payload_residency: Vec<SpanResidency>,
@@ -270,14 +269,13 @@ enum TrafficProbes<'a> {
     },
 }
 
-impl<'a> TrafficProbes<'a> {
-    fn spans(layer: &'a PreparedLayer, weight_bits: usize, line_bytes: usize) -> Self {
-        let spans = layer.traffic_spans(weight_bits, line_bytes);
+impl TrafficProbes {
+    fn spans(layer: &PreparedLayer, weight_bits: usize, line_bytes: usize) -> Self {
         TrafficProbes::Spans {
             a_payload_residency: vec![SpanResidency::default(); layer.shape.m],
             b_bm_residency: vec![SpanResidency::default(); layer.shape.n],
             b_payload_residency: vec![SpanResidency::default(); layer.shape.n],
-            spans,
+            spans: TrafficSpans::build(layer, weight_bits, line_bytes),
         }
     }
 
@@ -486,7 +484,7 @@ impl Loas {
         let line = self.config.cache_line_bytes as u64;
 
         // Probe endpoints for the tag-accurate cache: the fast walk
-        // replays through the precomputed spans, the oracle through the
+        // replays through spans built once here, the oracle through the
         // original address arithmetic.
         let mut probes = if oracle {
             TrafficProbes::address(layer, self.config.weight_bits)

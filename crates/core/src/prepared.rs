@@ -18,14 +18,13 @@ use loas_sim::LineSpan;
 use loas_snn::LifParams;
 use loas_sparse::{coordinate_bits, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
-use std::borrow::Cow;
 
-/// The weight precision the prepare-time [`TrafficSpans`] are computed
-/// for (the Table III configuration every model defaults to).
+/// The Table III weight precision every model defaults to (the default
+/// [`TrafficSpans`] geometry).
 pub const DEFAULT_WEIGHT_BITS: usize = 8;
 
-/// The cache-line size the prepare-time [`TrafficSpans`] are computed for
-/// (the shared 64-byte FiberCache line of Table III).
+/// The shared 64-byte FiberCache line of Table III (the default
+/// [`TrafficSpans`] geometry).
 pub const DEFAULT_LINE_BYTES: usize = 64;
 
 /// Precomputed cache-line spans of every traffic object the LoAS replay
@@ -33,9 +32,9 @@ pub const DEFAULT_LINE_BYTES: usize = 64;
 ///
 /// The tag-accurate traffic phase used to re-derive line numbers from
 /// abstract byte addresses on every probe. The address map is a pure
-/// function of the prepared fibers, so the spans are computed once at
-/// prepare time (for the default Table III geometry) and the replay does
-/// zero address arithmetic per pair: row/column objects are fixed
+/// function of the prepared fibers, so LoAS's replay builds the spans once
+/// per run (for its configured geometry) and does zero address arithmetic
+/// per pair: row/column objects are fixed
 /// [`LineSpan`]s, and the per-pair payload probe only varies in length
 /// from a precomputed `(first_line, intra-line offset)` base
 /// ([`TrafficSpans::a_payload_span`]).
@@ -43,7 +42,7 @@ pub const DEFAULT_LINE_BYTES: usize = 64;
 /// The address map matches the original replay exactly: `A` rows laid
 /// out back to back (bitmask + pointer bytes, then packed payload), then
 /// `B` fibers (bitmask + pointer bytes, then weight payload).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficSpans {
     /// Weight precision the `B` payload spans assume.
     pub weight_bits: usize,
@@ -146,10 +145,6 @@ pub struct PreparedLayer {
     /// of the `O(K)` fired-count aggregate
     /// ([`crate::kernel::fired_grand_total`]).
     pub col_spikes: Vec<u32>,
-    /// Precomputed traffic-object line spans for the default Table III
-    /// geometry ([`DEFAULT_WEIGHT_BITS`], [`DEFAULT_LINE_BYTES`]);
-    /// [`PreparedLayer::traffic_spans`] rebuilds on the fly for others.
-    pub traffic_spans: TrafficSpans,
 }
 
 impl PreparedLayer {
@@ -181,7 +176,7 @@ impl PreparedLayer {
 
     /// Assembles a prepared layer from its workload and already built `B`
     /// views, building the spike-dependent views (`row_blocks`,
-    /// `col_spikes`, `traffic_spans`).
+    /// `col_spikes`).
     fn with_weight_views(
         workload: LayerWorkload,
         b_fibers: Vec<WeightFiber>,
@@ -197,7 +192,7 @@ impl PreparedLayer {
                 }
             }
         }
-        let mut layer = PreparedLayer {
+        PreparedLayer {
             name: workload.name.clone(),
             shape,
             workload,
@@ -205,22 +200,6 @@ impl PreparedLayer {
             b_row_nnz,
             row_blocks,
             col_spikes,
-            traffic_spans: TrafficSpans::default(),
-        };
-        layer.traffic_spans = TrafficSpans::build(&layer, DEFAULT_WEIGHT_BITS, DEFAULT_LINE_BYTES);
-        layer
-    }
-
-    /// The traffic-span table for a given accelerator geometry: the
-    /// precomputed table when it matches (the default Table III
-    /// configuration), a freshly built one otherwise.
-    pub fn traffic_spans(&self, weight_bits: usize, line_bytes: usize) -> Cow<'_, TrafficSpans> {
-        if self.traffic_spans.weight_bits == weight_bits
-            && self.traffic_spans.line_bytes == line_bytes
-        {
-            Cow::Borrowed(&self.traffic_spans)
-        } else {
-            Cow::Owned(TrafficSpans::build(self, weight_bits, line_bytes))
         }
     }
 
@@ -328,7 +307,6 @@ mod tests {
             prop_assert_eq!(&derived.b_row_nnz, &prepared.b_row_nnz);
             prop_assert_eq!(&derived.row_blocks, &prepared.row_blocks);
             prop_assert_eq!(&derived.col_spikes, &prepared.col_spikes);
-            prop_assert_eq!(&derived.traffic_spans, &prepared.traffic_spans);
         }
     }
 

@@ -1,7 +1,6 @@
-//! Property tests of the precomputed traffic spans: on random prepared
-//! layers, the spans stored in [`PreparedLayer`] (and rebuilt for
-//! non-default geometries) must agree with the original per-access
-//! address arithmetic formula by formula — and the span-driven kernel
+//! Property tests of the traffic spans: on random prepared layers, the
+//! spans [`TrafficSpans::build`] makes for each geometry must agree with
+//! the original per-access address arithmetic formula by formula — and the span-driven kernel
 //! replay must produce byte-identical reports to the address-arithmetic
 //! reference oracle. The reference address map compresses the `A` rows
 //! from the spike tensor itself, independently of `RowBlocks`.
@@ -98,14 +97,9 @@ proptest! {
             continue; // infeasible profile draw: nothing to check
         };
         let (weight_bits, line_bytes) = [(8, 64), (16, 64), (8, 32)][geometry];
-        let built = layer.traffic_spans(weight_bits, line_bytes);
+        let built = TrafficSpans::build(&layer, weight_bits, line_bytes);
         let manual = spans_by_address_arithmetic(&layer, weight_bits, line_bytes);
-        prop_assert_eq!(built.as_ref(), &manual);
-        // The prepare-time table is the default-geometry build.
-        prop_assert_eq!(
-            &layer.traffic_spans,
-            &spans_by_address_arithmetic(&layer, 8, 64)
-        );
+        prop_assert_eq!(&built, &manual);
         // Per-pair payload spans: the (base line, intra offset) form must
         // agree with direct range math at every length.
         let a_bm = (k + POINTER_BITS).div_ceil(8) as u64;

@@ -6,6 +6,17 @@
 //! emitted to the sink in job-submission order, which makes campaign output
 //! — including the serialized report stream — byte-identical for any worker
 //! count.
+//!
+//! There is no separate preparation phase: each job resolves its own
+//! prepared layer through the engine's [`PreparedCache`] just before it
+//! builds its model, so the first job of a layer prepares it and a job
+//! whose layer is ready starts at once. A worker whose layer another
+//! worker is preparing does not wait idle: it prepares the next base
+//! layer a later job needs and then goes back to its own, so the pool
+//! still prepares different layers at once when consecutive jobs share
+//! one. A fine-tuned layer is derived from its
+//! base ([`PreparedLayer::fine_tuned`]), which resolves through the cache
+//! the same way.
 
 use crate::cache::{PreparedCache, PreparedCacheStats};
 use crate::memo::ResultStore;
@@ -15,11 +26,11 @@ use loas_core::{LayerReport, PreparedLayer};
 use loas_workloads::WorkloadError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Instant;
 
 /// Errors surfaced while executing a campaign.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EngineError {
     /// A workload spec could not be generated (infeasible profile).
     Workload {
@@ -135,111 +146,42 @@ impl Engine {
     ///
     /// Returns the first (by spec order) generation failure.
     pub fn prepare(&self, specs: &[WorkloadSpec]) -> Result<Vec<Arc<PreparedLayer>>, EngineError> {
-        self.prepare_missing(specs)?;
-        specs.iter().map(|spec| self.resolve(spec)).collect()
-    }
-
-    /// Resolves one spec to its prepared layer, regenerating privately if
-    /// the entry was already evicted again (cache cap below the working
-    /// set) rather than thrashing the cache or panicking.
-    fn resolve(&self, spec: &WorkloadSpec) -> Result<Arc<PreparedLayer>, EngineError> {
-        match self.cache.get(&spec.key()) {
-            Some(layer) => Ok(layer),
-            None => spec
-                .prepare()
-                .map(Arc::new)
-                .map_err(|source| EngineError::Workload {
-                    workload: spec.name.clone(),
-                    source,
-                }),
-        }
-    }
-
-    /// Generates every spec whose key is not yet resident, each exactly
-    /// once, sharded across the worker pool. Runs in two waves: plain
-    /// workloads generate first (plus the bases of any missing fine-tuned
-    /// specs), then fine-tuned variants derive from their cached base with
-    /// [`PreparedLayer::fine_tuned`], which masks the spikes and reuses the
-    /// base's weight views — so a campaign running both LoAS and LoAS(FT)
-    /// on a layer pays for one generation and one weight compression, not
-    /// two.
-    fn prepare_missing(&self, specs: &[WorkloadSpec]) -> Result<(), EngineError> {
-        let mut seen = std::collections::HashSet::new();
-        let missing: Vec<&WorkloadSpec> = specs
-            .iter()
-            .filter(|spec| seen.insert(spec.key()) && !self.cache.contains(&spec.key()))
-            .collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let mut bases: Vec<WorkloadSpec> = Vec::new();
-        let mut derived: Vec<&WorkloadSpec> = Vec::new();
-        for spec in missing {
-            if spec.fine_tuned {
-                let base = spec.base();
-                if !self.cache.contains(&base.key())
-                    && !bases.iter().any(|b: &WorkloadSpec| b.key() == base.key())
-                {
-                    bases.push(base);
-                }
-                derived.push(spec);
-            } else {
-                bases.push(spec.clone());
-            }
-        }
-        self.generate_wave(&bases, |spec| spec.prepare())?;
-        self.generate_wave(&derived, |spec| {
-            // The base normally survives from the first wave; under a cache
-            // cap smaller than the wave it may already be evicted, in which
-            // case the derived spec regenerates standalone.
-            match self.cache.peek(&spec.base().key()) {
-                Some(base) => Ok(base.fine_tuned()),
-                None => spec.prepare(),
-            }
-        })
-    }
-
-    /// Shards one wave of workload preparation across the worker pool,
-    /// inserting results into the cache and surfacing the first (by spec
-    /// order) failure.
-    fn generate_wave<S: std::borrow::Borrow<WorkloadSpec> + Sync>(
-        &self,
-        wave: &[S],
-        prepare: impl Fn(&WorkloadSpec) -> Result<PreparedLayer, loas_workloads::WorkloadError> + Sync,
-    ) -> Result<(), EngineError> {
-        if wave.is_empty() {
-            return Ok(());
-        }
         let next = AtomicUsize::new(0);
-        let failures: Mutex<Vec<(usize, EngineError)>> = Mutex::new(Vec::new());
-        let workers = self.workers.min(wave.len());
+        let resolved: Vec<OnceLock<Result<Arc<PreparedLayer>, EngineError>>> =
+            specs.iter().map(|_| OnceLock::new()).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.workers.min(specs.len()) {
                 scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = wave.get(index).map(|s| s.borrow()) else {
+                    let Some(spec) = specs.get(index) else {
                         break;
                     };
-                    match prepare(spec) {
-                        Ok(layer) => {
-                            self.cache.insert(spec.key(), layer);
-                        }
-                        Err(source) => failures.lock().expect("failure lock").push((
-                            index,
-                            EngineError::Workload {
-                                workload: spec.name.clone(),
-                                source,
-                            },
-                        )),
-                    }
+                    let _ = resolved[index].set(self.layer(spec));
                 });
             }
         });
-        let mut failures = failures.into_inner().expect("failure lock");
-        failures.sort_by_key(|(index, _)| *index);
-        match failures.into_iter().next() {
-            Some((_, error)) => Err(error),
-            None => Ok(()),
+        resolved
+            .into_iter()
+            .map(|layer| layer.into_inner().expect("every spec resolved"))
+            .collect()
+    }
+
+    /// The prepared layer of one spec, through the cache: generated on the
+    /// first use of its key, shared afterwards. A fine-tuned spec derives
+    /// from its base's layer, which resolves (and is cached) the same way.
+    fn layer(&self, spec: &WorkloadSpec) -> Result<Arc<PreparedLayer>, EngineError> {
+        self.cache
+            .get_or_prepare(&spec.key(), || self.prepare_layer(spec))
+    }
+
+    fn prepare_layer(&self, spec: &WorkloadSpec) -> Result<PreparedLayer, EngineError> {
+        if spec.fine_tuned {
+            Ok(self.layer(&spec.base())?.fine_tuned())
+        } else {
+            spec.prepare().map_err(|source| EngineError::Workload {
+                workload: spec.name.clone(),
+                source,
+            })
         }
     }
 
@@ -247,8 +189,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first workload-generation failure; no jobs run in that
-    /// case.
+    /// Returns the error of the lowest-id job whose workload cannot be
+    /// generated.
     pub fn run(&self, campaign: &Campaign) -> Result<CampaignOutcome, EngineError> {
         self.run_streaming(campaign, |_| {})
     }
@@ -261,8 +203,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first workload-generation failure; no jobs run in that
-    /// case.
+    /// Returns the error of the lowest-id job whose workload cannot be
+    /// generated; the sink has then seen exactly the records before that
+    /// job, at any worker count.
     pub fn run_streaming(
         &self,
         campaign: &Campaign,
@@ -286,8 +229,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first workload-generation failure; no jobs run in that
-    /// case.
+    /// Returns the error of the lowest-id selected job whose workload
+    /// cannot be generated. The sink has then seen exactly the records
+    /// before that job, at any worker count; jobs after it that are not
+    /// yet claimed never run.
     pub fn run_where(
         &self,
         campaign: &Campaign,
@@ -331,32 +276,30 @@ impl Engine {
         }
         let memo_hits = replayed.len();
 
-        // Prepare only the workloads the simulated jobs need, each unique
-        // key at most once. A job resolution counts as a cache hit only
-        // when its key did not have to be generated for this campaign:
-        // jobs beyond the first use of a fresh key, plus every use of keys
-        // cached by earlier campaigns.
+        // The first use of each key not cached yet, in job order. A job
+        // resolution counts as a cache hit only when its key did not have
+        // to be generated for this campaign: jobs beyond the first use of a
+        // fresh key, plus every use of keys cached by earlier campaigns.
         let mut seen = std::collections::HashSet::new();
-        let unique: Vec<WorkloadSpec> = to_run
+        let fresh: Vec<&WorkloadSpec> = to_run
             .iter()
             .map(|&index| &jobs[index].workload)
-            .filter(|workload| seen.insert(workload.key()))
-            .cloned()
+            .filter(|spec| {
+                let key = spec.key();
+                !self.cache.contains(&key) && seen.insert(key)
+            })
             .collect();
-        let fresh_keys = unique
-            .iter()
-            .filter(|spec| !self.cache.contains(&spec.key()))
-            .count();
-        self.prepare_missing(&unique)?;
-        let prepare_seconds = start.elapsed().as_secs_f64();
-
-        let layers: Vec<Arc<PreparedLayer>> = to_run
-            .iter()
-            .map(|&index| self.resolve(&jobs[index].workload))
-            .collect::<Result<_, _>>()?;
+        // Their base layers, the costly part, which a worker prepares ahead
+        // of its job while another worker prepares the job's layer.
+        let bases: Vec<WorkloadSpec> = fresh.iter().map(|spec| spec.base()).collect();
+        let ahead = AtomicUsize::new(0);
 
         let next = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, LayerReport, f64)>();
+        // The lowest position whose layer failed: jobs after it are not
+        // started, since their records could never be emitted (every job
+        // before it was claimed earlier and still runs).
+        let failed_at = AtomicUsize::new(usize::MAX);
+        let (sender, receiver) = mpsc::channel::<(usize, JobResult)>();
         let workers = self.workers.min(to_run.len().max(1));
         // Split the engine's worker budget between job-level and
         // intra-layer parallelism: campaigns with fewer jobs than budget
@@ -364,25 +307,44 @@ impl Engine {
         // workers to each model's pure compute phase. Reports are
         // byte-identical for any split (models guarantee it).
         let intra_workers = intra_share(self.workers, workers);
+        let mut prepare_seconds = 0.0;
+        let mut failure: Option<(usize, EngineError)> = None;
         let records = std::thread::scope(|scope| {
             for _ in 0..workers {
                 let sender = sender.clone();
-                let next = &next;
-                let layers = &layers;
-                let to_run = &to_run;
+                let (next, failed_at, to_run) = (&next, &failed_at, &to_run);
+                let (ahead, bases) = (&ahead, &bases);
                 scope.spawn(move || loop {
                     let position = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&index) = to_run.get(position) else {
                         break;
                     };
+                    if position > failed_at.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let job_start = Instant::now();
-                    let mut model = jobs[index].accelerator.build();
-                    model.set_intra_workers(intra_workers);
-                    let report = model.run_layer(&layers[position]);
-                    if sender
-                        .send((index, report, job_start.elapsed().as_secs_f64()))
-                        .is_err()
-                    {
+                    let spec = &jobs[index].workload;
+                    let key = spec.key();
+                    while self.cache.is_preparing(&key) {
+                        match bases.get(ahead.fetch_add(1, Ordering::Relaxed)) {
+                            Some(base) => self
+                                .cache
+                                .prepare_if_absent(&base.key(), || self.prepare_layer(base)),
+                            None => break,
+                        }
+                    }
+                    let result = self.layer(spec).map(|layer| {
+                        let prepare_seconds = job_start.elapsed().as_secs_f64();
+                        let sim_start = Instant::now();
+                        let mut model = jobs[index].accelerator.build();
+                        model.set_intra_workers(intra_workers);
+                        let report = model.run_layer(&layer);
+                        (report, prepare_seconds, sim_start.elapsed().as_secs_f64())
+                    });
+                    if result.is_err() {
+                        failed_at.fetch_min(position, Ordering::Relaxed);
+                    }
+                    if sender.send((index, result)).is_err() {
                         break;
                     }
                 });
@@ -392,7 +354,8 @@ impl Engine {
             // Ordered streaming over the selected sequence: memoized
             // results seed the reorder buffer, fresh completions join as
             // they arrive, and the ready prefix is emitted in ascending
-            // original-job-id order.
+            // original-job-id order. A failed job never enters the buffer,
+            // so emission stops right before it.
             let make_record = |index: usize, report: LayerReport, sim_seconds: f64| {
                 let job = &jobs[index];
                 JobRecord {
@@ -420,15 +383,28 @@ impl Engine {
                 }
             };
             emit_ready(&mut pending, &mut records);
-            for (index, report, sim_seconds) in receiver {
-                if let Some(store) = store {
-                    store.store(jobs[index].memo_key(), &report);
+            for (index, result) in receiver {
+                match result {
+                    Ok((report, job_prepare_seconds, sim_seconds)) => {
+                        prepare_seconds += job_prepare_seconds;
+                        if let Some(store) = store {
+                            store.store(jobs[index].memo_key(), &report);
+                        }
+                        pending.insert(index, make_record(index, report, sim_seconds));
+                        emit_ready(&mut pending, &mut records);
+                    }
+                    Err(error) => {
+                        if failure.as_ref().is_none_or(|(first, _)| index < *first) {
+                            failure = Some((index, error));
+                        }
+                    }
                 }
-                pending.insert(index, make_record(index, report, sim_seconds));
-                emit_ready(&mut pending, &mut records);
             }
             records
         });
+        if let Some((_, error)) = failure {
+            return Err(error);
+        }
         debug_assert_eq!(records.len(), selected.len());
 
         let stats_after = self.cache.stats();
@@ -439,12 +415,16 @@ impl Engine {
             wall_seconds: start.elapsed().as_secs_f64(),
             prepare_seconds,
             workloads_generated: stats_after.generated - stats_before.generated,
-            cache_hits: to_run.len().saturating_sub(fresh_keys),
+            cache_hits: to_run.len().saturating_sub(fresh.len()),
             memo_hits,
             simulated: to_run.len(),
         })
     }
 }
+
+/// What a worker reports for one job: the simulated report with its
+/// layer-resolution and simulation seconds, or the layer's error.
+type JobResult = Result<(LayerReport, f64, f64), EngineError>;
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,8 @@
 //!    count;
 //! 2. **Prepared-layer caching** — workloads are content-keyed
 //!    ([`WorkloadKey`]) and each unique workload is generated and
-//!    compressed exactly once per engine, however many jobs or campaigns
-//!    reference it;
+//!    compressed exactly once per engine (while resident), by the first
+//!    job that needs it, however many jobs or campaigns reference it;
 //! 3. **Streaming reports** — a sink observes each [`JobRecord`] as soon as
 //!    its prefix of the campaign completes, and [`CampaignOutcome`]
 //!    aggregates per-layer results into [`NetworkReport`]s plus a human

@@ -50,6 +50,8 @@ impl std::fmt::Display for MemoKey {
 pub trait ResultStore: Sync {
     /// Returns the memoized report for `key`, or `None` on a miss (or any
     /// decoding failure — a corrupt entry is a miss, never an error).
+    /// [`MemoStore`] also misses on an entry that decodes but fails
+    /// [`LayerReport::check_invariants`].
     fn load(&self, key: MemoKey) -> Option<LayerReport>;
 
     /// Persists a freshly simulated report under `key`. Failures do not
@@ -148,7 +150,8 @@ impl ResultStore for MemoStore {
     fn load(&self, key: MemoKey) -> Option<LayerReport> {
         let loaded = std::fs::read_to_string(self.entry_path(key))
             .ok()
-            .and_then(|text| LayerReport::from_portable(&text).ok());
+            .and_then(|text| LayerReport::from_portable(&text).ok())
+            .filter(|report| report.check_invariants().is_ok());
         match &loaded {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -258,6 +261,26 @@ mod tests {
         let key = job("w", AcceleratorSpec::gamma()).memo_key();
         std::fs::write(store.entry_path(key), "not a report").unwrap();
         assert!(store.load(key).is_none());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn entries_failing_the_report_invariants_read_as_misses() {
+        let store = temp_store("invariants");
+        let key = job("w", AcceleratorSpec::gamma()).memo_key();
+        let mut valid = report(42);
+        valid.stats.cache.hits = 3;
+        valid.stats.cache.misses = 1;
+        store.store(key, &valid);
+        assert!(store.load(key).is_some());
+        // An edited hit count that overflows hits + misses still parses.
+        let path = store.entry_path(key);
+        let edited = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("cache=3,1", &format!("cache={},1", u64::MAX));
+        std::fs::write(&path, edited).unwrap();
+        assert!(store.load(key).is_none());
+        assert_eq!(store.stats().misses, 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -127,7 +127,11 @@ pub struct CampaignOutcome {
     pub records: Vec<JobRecord>,
     /// End-to-end wall-clock seconds (preparation + execution).
     pub wall_seconds: f64,
-    /// Wall-clock seconds of the workload-preparation phase.
+    /// Seconds jobs spent resolving their prepared layers (generating,
+    /// deriving, or waiting on another job's preparation of the same
+    /// layer), summed over simulated jobs like
+    /// [`CampaignOutcome::total_sim_seconds`]; it exceeds the preparation
+    /// share of `wall_seconds` when workers overlap.
     pub prepare_seconds: f64,
     /// Workloads generated for this campaign (cache misses).
     pub workloads_generated: usize,
@@ -207,7 +211,7 @@ impl CampaignOutcome {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "campaign `{}`: {} jobs on {} worker{} in {:.3}s wall ({:.3}s preparing workloads, {:.3}s total simulation)",
+            "campaign `{}`: {} jobs on {} worker{} in {:.3}s wall ({:.3}s total preparation, {:.3}s total simulation)",
             self.campaign,
             self.records.len(),
             self.workers,

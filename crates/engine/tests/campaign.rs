@@ -266,3 +266,87 @@ fn tiny_cache_capacity_still_completes_and_matches() {
     let layers = tiny.prepare(&specs).unwrap();
     assert_eq!(layers.len(), specs.len());
 }
+
+#[test]
+fn first_record_streams_before_the_campaign_is_prepared() {
+    // Each job prepares its own layer, so on one worker job 0 reaches the
+    // sink while later layers are still ungenerated.
+    let mut campaign = Campaign::new("streaming");
+    for seed in 0..12 {
+        campaign.push_layer(
+            WorkloadSpec::new(
+                format!("stream-{seed}"),
+                LayerShape::new(4, 16, 32, 768),
+                profile(),
+            )
+            .with_seed(seed),
+            AcceleratorSpec::loas(),
+        );
+    }
+    let unique = campaign.unique_workloads().len();
+    assert_eq!(unique, 12);
+    let engine = Engine::new(1);
+    let mut generated_at_first = None;
+    engine
+        .run_streaming(&campaign, |record| {
+            if record.job == 0 {
+                generated_at_first = Some(engine.cache_stats().generated);
+            }
+        })
+        .unwrap();
+    let generated_at_first = generated_at_first.expect("job 0 streamed");
+    assert!(
+        generated_at_first < unique,
+        "job 0 waited for {generated_at_first} of {unique} preparations"
+    );
+    assert_eq!(engine.cache_stats().generated, unique);
+}
+
+#[test]
+fn a_failing_job_stops_the_stream_right_before_it() {
+    // Dense spikes with mostly silent neurons cannot be realised at T=2.
+    let infeasible = WorkloadSpec::new(
+        "infeasible",
+        LayerShape::new(2, 4, 4, 16),
+        SparsityProfile::from_percentages(1.0, 50.0, 55.0, 98.0).unwrap(),
+    );
+    assert!(infeasible.prepare().is_err());
+    let mut campaign = Campaign::new("good-bad-good");
+    campaign.push_layer(small_layer("good-a", 1), AcceleratorSpec::loas());
+    campaign.push_layer(infeasible, AcceleratorSpec::loas());
+    campaign.push_layer(small_layer("good-b", 2), AcceleratorSpec::loas());
+    for workers in [1usize, 3] {
+        let engine = Engine::new(workers);
+        let mut seen = Vec::new();
+        let error = engine
+            .run_streaming(&campaign, |record| seen.push(record.job))
+            .unwrap_err();
+        assert_eq!(seen, vec![0], "workers={workers}");
+        assert!(
+            error.to_string().contains("`infeasible`"),
+            "workers={workers}: {error}"
+        );
+        if workers == 1 {
+            // The job after the failure is never started, so its layer is
+            // never prepared.
+            assert_eq!(engine.cache_stats().generated, 1);
+        }
+    }
+}
+
+#[test]
+fn fine_tuned_jobs_prepare_their_base_once() {
+    let mut campaign = Campaign::new("ft-only");
+    let layers = [
+        small_layer("ft-a", 1),
+        small_layer("ft-b", 2),
+        small_layer("ft-c", 3),
+    ];
+    campaign.push_product(&layers, &[AcceleratorSpec::loas_ft()]);
+    let engine = Engine::new(4);
+    let outcome = engine.run(&campaign).unwrap();
+    // Each layer's base is generated once and its FT variant derived once.
+    assert_eq!(engine.cache_stats().generated, 2 * layers.len());
+    assert_eq!(outcome.workloads_generated, 2 * layers.len());
+    assert_eq!(outcome.records.len(), layers.len());
+}

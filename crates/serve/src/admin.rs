@@ -124,11 +124,13 @@ pub fn requeue(queue: &Queue, id: u64) -> Result<(), ServeError> {
 /// What an [`fsck`] pass found (and possibly pruned).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Valid memo entries (well-named and parseable).
+    /// Valid memo entries (well-named, parseable and passing the report
+    /// invariants).
     pub valid_entries: usize,
     /// Memo entries whose contents fail to parse as a portable
-    /// [`LayerReport`] — replayed loads would read these as misses, so
-    /// they only waste space.
+    /// [`LayerReport`] or parse but fail
+    /// [`LayerReport::check_invariants`] — replayed loads read these as
+    /// misses, so they only waste space.
     pub corrupt_entries: Vec<PathBuf>,
     /// Files in the memo directory that are not `<16-hex>.report` entries
     /// (leftover temporaries from crashed writers, stray files). Files
@@ -183,8 +185,9 @@ fn is_memo_entry_name(name: &str) -> bool {
 }
 
 /// Integrity-checks the queue's memo store and report tree (ROADMAP item
-/// c): every memo entry must be named `<16-hex>.report` and parse as a
-/// portable [`LayerReport`]; every report directory must belong to a
+/// c): every memo entry must be named `<16-hex>.report`, parse as a
+/// portable [`LayerReport`] and pass its invariant checks; every report
+/// directory must belong to a
 /// logged submission. With `prune`, corrupt entries and orphans are
 /// deleted (safe even against concurrent runners: corrupt entries already
 /// read as misses, and non-entry files are only considered orphans once
@@ -216,10 +219,11 @@ pub fn fsck(queue: &Queue, prune: bool) -> Result<FsckReport, ServeError> {
                 }
                 continue;
             }
-            let parses = std::fs::read_to_string(&path)
-                .ok()
-                .is_some_and(|text| LayerReport::from_portable(&text).is_ok());
-            if parses {
+            let intact = std::fs::read_to_string(&path).ok().is_some_and(|text| {
+                LayerReport::from_portable(&text)
+                    .is_ok_and(|report| report.check_invariants().is_ok())
+            });
+            if intact {
                 report.valid_entries += 1;
             } else {
                 report.corrupt_entries.push(path);
@@ -453,6 +457,42 @@ mod tests {
         let after = fsck(&queue, false).unwrap();
         assert!(after.is_clean(), "{after:?}");
         assert_eq!(after.valid_entries, 4, "valid entries survive pruning");
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+
+    #[test]
+    fn fsck_flags_entries_that_fail_the_report_invariants() {
+        use loas_engine::{MemoKey, MemoStore, ResultStore};
+        let queue = temp_queue("fsck-invariants");
+        queue
+            .enqueue(&campaign_to_json(&gamma_cache_campaign(true, 11)))
+            .unwrap();
+        drain(&queue, &small_options(), |_| {}).unwrap();
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(queue.memo_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        entries.sort();
+        let path = &entries[0];
+        let key = path.file_stem().and_then(|stem| stem.to_str()).unwrap();
+        let key = MemoKey::new(u64::from_str_radix(key, 16).unwrap());
+        let store = MemoStore::open(queue.memo_dir()).unwrap();
+        assert!(store.load(key).is_some());
+
+        // Edit the hit count so hits + misses overflows: the entry still
+        // parses, but its cache counters no longer add up.
+        let text = std::fs::read_to_string(path).unwrap();
+        let cache_line = text.lines().find(|l| l.starts_with("cache=")).unwrap();
+        let misses = cache_line.split(',').nth(1).unwrap();
+        assert_ne!(misses, "0", "the entry records cache misses");
+        let edited = text.replace(cache_line, &format!("cache={},{misses}", u64::MAX));
+        std::fs::write(path, edited).unwrap();
+        assert!(LayerReport::from_portable(&std::fs::read_to_string(path).unwrap()).is_ok());
+
+        let report = fsck(&queue, false).unwrap();
+        assert_eq!(report.corrupt_entries, vec![path.clone()]);
+        assert_eq!(report.valid_entries, entries.len() - 1);
+        assert!(store.load(key).is_none(), "the edited entry never replays");
         let _ = std::fs::remove_dir_all(queue.root());
     }
 

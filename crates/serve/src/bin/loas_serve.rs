@@ -201,8 +201,13 @@ fn cmd_run(args: &[String]) -> Result<(), ServeError> {
         drain(&queue, &options, progress)?
     };
     println!(
-        "pass complete: {} campaign shard(s), {} failed, {} jobs ({} memo hits, {} simulated)",
-        summary.campaigns, summary.failed, summary.jobs, summary.memo_hits, summary.simulated
+        "pass complete: {} campaign shard(s), {} failed, {} jobs ({} memo hits, {} simulated), {} memo store errors",
+        summary.campaigns,
+        summary.failed,
+        summary.jobs,
+        summary.memo_hits,
+        summary.simulated,
+        summary.store_errors
     );
     Ok(())
 }

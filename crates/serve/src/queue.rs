@@ -15,12 +15,14 @@
 //!
 //! Submission is atomic-enough for the serving model: the spec file is
 //! written (via temp + rename) before the log line, and runners treat the
-//! log as the source of truth for ordering — so a campaign enqueued while
-//! a runner is draining is either fully visible or not yet visible, never
-//! half-visible. One writer per queue directory is assumed for id
-//! assignment (ids come from the log length); concurrent **runners** (the
-//! shard processes) only ever write their own `reports/<id>/shard-K.*`
-//! files.
+//! log as the source of truth — so a campaign enqueued while a runner is
+//! draining is either fully visible or not yet visible, never
+//! half-visible. Concurrent submitters get distinct ids: each reserves
+//! its id by creating `specs/<id>.json` exclusively (`create_new`), moving
+//! on to the next id when another submitter holds it. Their log lines may
+//! land out of id order, so [`Queue::submissions`] sorts by id.
+//! Concurrent **runners** (the shard processes) only ever write their own
+//! `reports/<id>/shard-K.*` files.
 
 use crate::error::ServeError;
 use crate::spec_io;
@@ -141,9 +143,7 @@ impl Queue {
         if campaign.is_empty() {
             return Err(ServeError::Spec("campaign has no jobs".to_owned()));
         }
-        let id = self.submissions()?.last().map_or(1, |s| s.id + 1);
-
-        let spec_path = self.spec_path(id);
+        let (id, spec_path) = self.reserve_id()?;
         let temp = spec_path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&temp, spec_text).map_err(ServeError::io(&temp))?;
         std::fs::rename(&temp, &spec_path).map_err(ServeError::io(&spec_path))?;
@@ -178,7 +178,28 @@ impl Queue {
         })
     }
 
-    /// All submissions, in log (= id) order.
+    /// Reserves the next free campaign id by creating its spec file
+    /// exclusively, so concurrent submitters never share an id. The search
+    /// starts after the highest logged id and skips ids whose spec file
+    /// already exists (a submission in flight, or one that died before
+    /// logging).
+    fn reserve_id(&self) -> Result<(u64, PathBuf), ServeError> {
+        let mut id = self.submissions()?.last().map_or(1, |s| s.id + 1);
+        loop {
+            let path = self.spec_path(id);
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(_) => return Ok((id, path)),
+                Err(error) if error.kind() == std::io::ErrorKind::AlreadyExists => id += 1,
+                Err(error) => return Err(ServeError::io(&path)(error)),
+            }
+        }
+    }
+
+    /// All submissions, in id order.
     ///
     /// # Errors
     ///
@@ -206,6 +227,7 @@ impl Queue {
                 jobs,
             });
         }
+        submissions.sort_by_key(|submission| submission.id);
         Ok(submissions)
     }
 

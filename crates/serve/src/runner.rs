@@ -58,6 +58,9 @@ pub struct RunSummary {
     pub simulated: usize,
     /// Workloads generated (prepared-cache misses).
     pub generated: usize,
+    /// Memo-store writes that failed
+    /// ([`loas_engine::MemoStoreStats::store_errors`] over the pass).
+    pub store_errors: usize,
 }
 
 /// One campaign-shard completion, reported to the progress callback.
@@ -124,6 +127,8 @@ fn drain_with(
     mut progress: impl FnMut(&CampaignProgress),
 ) -> Result<RunSummary, ServeError> {
     let mut summary = RunSummary::default();
+    let store_errors = || store.map_or(0, |store| store.stats().store_errors);
+    let store_errors_before = store_errors();
     // Re-read the log after every campaign: submissions that arrived while
     // simulating are serviced within the same pass.
     while let Some(submission) = queue.submissions()?.into_iter().find(|submission| {
@@ -148,6 +153,7 @@ fn drain_with(
             Err(other) => return Err(other),
         }
     }
+    summary.store_errors = store_errors() - store_errors_before;
     Ok(summary)
 }
 
@@ -301,6 +307,7 @@ pub fn watch(
             total.memo_hits += pass.memo_hits;
             total.simulated += pass.simulated;
             total.generated += pass.generated;
+            total.store_errors += pass.store_errors;
         } else if let Some(max_idle) = max_idle {
             if last_work.elapsed() >= max_idle {
                 return Ok(total);
@@ -366,6 +373,23 @@ mod tests {
         let read =
             |id: u64| std::fs::read_to_string(queue.report_dir(id).join("report.jsonl")).unwrap();
         assert_eq!(read(first), read(second), "replayed report diverged");
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+
+    #[test]
+    fn failed_memo_writes_are_summarized() {
+        let queue = temp_queue("store-errors");
+        let id = queue
+            .enqueue(&campaign_to_json(&headline_campaign(true, 11)))
+            .unwrap()
+            .id;
+        let options = small_options();
+        let (engine, store) = build_context(&queue, &options).unwrap();
+        std::fs::remove_dir_all(queue.memo_dir()).unwrap();
+        let summary = drain_with(&queue, &options, &engine, store.as_ref(), |_| {}).unwrap();
+        assert_eq!(summary.simulated, 28);
+        assert_eq!(summary.store_errors, summary.simulated);
+        assert_eq!(queue.state(id).unwrap(), CampaignState::Done);
         let _ = std::fs::remove_dir_all(queue.root());
     }
 

@@ -192,3 +192,35 @@ fn merge_refuses_incomplete_shard_sets() {
     assert_eq!(queue.state(id).unwrap(), CampaignState::Queued);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn concurrent_enqueues_get_distinct_ids() {
+    let root = temp_root("concurrent-enqueue");
+    Queue::init(&root).unwrap();
+    let spec = campaign_to_json(&mixed_fleet_campaign());
+    let barrier = std::sync::Barrier::new(8);
+    let mut ids: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    Queue::open(&root).unwrap().enqueue(&spec).unwrap().id
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 8, "ids collided: {ids:?}");
+
+    let queue = Queue::open(&root).unwrap();
+    let specs = std::fs::read_dir(root.join("specs")).unwrap().count();
+    assert_eq!(specs, 8, "one spec file per submission");
+    let logged: Vec<u64> = queue.submissions().unwrap().iter().map(|s| s.id).collect();
+    assert_eq!(logged, ids, "one log line per submission, read in id order");
+    for id in ids {
+        assert_eq!(queue.spec_text(id).unwrap(), spec);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
